@@ -230,8 +230,9 @@ class RestructuringHDDScheduler(HDDScheduler):
         """Apply ``plan`` without quiescing the database.
 
         In-flight transactions keep their class ids, which are remapped
-        through the plan; their Protocol A wall caches are dropped so
-        subsequent reads use walls from the merged (conservative) logs.
+        through the plan; the protocol core drops their Protocol A wall
+        caches, so subsequent reads use walls from the merged
+        (conservative) logs, and re-decides declared read-only routes.
         """
         if plan.is_noop and adhoc_profile is None:
             return
@@ -246,13 +247,7 @@ class RestructuringHDDScheduler(HDDScheduler):
             new_tracker, self.clock, interval=self.walls.interval
         )
         self.walls.set_sink(self._sink, step_source=self)
-        # Drop Protocol A wall caches: walls recomputed from the merged
-        # (more populous) logs are <= the cached ones, i.e. conservative
-        # and still PSR-safe.  Pinned Protocol C walls are KEPT — an old
-        # wall remains a consistent cut (post-restructure transactions
-        # initiate above every old component), and switching a reader's
-        # wall mid-transaction would break its snapshot.
-        self._a_wall_cache.clear()
+        self.protocol.repartitioned(plan.merged_into)
         for txn in self.active_transactions():
             if txn.class_id is not None:
                 txn.class_id = plan.merged_into[txn.class_id]

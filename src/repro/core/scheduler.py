@@ -1,30 +1,12 @@
-"""The HDD concurrency-control scheduler (paper Sections 4.2 and 5.2).
+"""The monolithic HDD scheduler (paper Sections 4.2 and 5.2).
 
-Dispatch per access, for a transaction ``t`` touching granule ``d`` in
-segment ``D_j``:
-
-* **update transaction of class** ``T_i``:
-
-  - ``i == j`` -> **Protocol B**: the intra-class timestamp-ordering
-    engine (basic TO or Reed MVTO, configurable);
-  - ``j`` higher than ``i`` -> **Protocol A**: serve the newest version
-    with write timestamp strictly below the activity-link wall
-    ``A_i^j(I(t))``.  No read timestamp, no lock, no blocking — the
-    wall guarantees every version below it is final;
-  - anything else -> :class:`~repro.errors.ProtocolViolation` (the
-    declared profile promised not to do this; see
-    :mod:`repro.core.restructure` for the dynamic-restructuring
-    extension that admits such transactions anyway).
-
-* **read-only transaction** (Section 5):
-
-  - if its declared read segments lie on one critical path, it behaves
-    like an update transaction in a *fictitious class* immediately
-    below the lowest class of that path: Protocol A walls
-    ``A_fict^j(I(t))``, never blocking;
-  - otherwise -> **Protocol C**: read below the components of the
-    newest released time wall (blocking only until the first wall is
-    released).
+The access rule — which of Protocols A, B and C serves an access, and
+what a transaction may not touch — is stated once, in
+:class:`repro.core.protocol.HDDProtocol`.  This module is that core's
+*in-process host*: it binds the host surface to one activity tracker,
+one time-wall manager, one intra-class engine and one store's version
+chains, and adds what only a host can do — commit/abort finalisation,
+frozen-prefix marks, wall retirement and garbage collection.
 
 Commits are never blocked and never rejected: every conflict was
 resolved at access time.  Aborted transactions have their versions
@@ -39,25 +21,15 @@ from typing import Optional
 from repro.core.activity import ActivityTracker
 from repro.core.intraclass import ENGINES, IntraClassEngine
 from repro.core.partition import HierarchicalPartition
+from repro.core.protocol import HDDProtocol
 from repro.core.timewall import TimeWall, TimeWallManager, WallSnapshot
-from repro.errors import ProtocolViolation, ReproError
+from repro.errors import ReproError
 from repro.obs.events import GCPassEvent
-from repro.scheduling import (
-    WAIT_TIMEWALL,
-    BaseScheduler,
-    Outcome,
-    blocked,
-    granted,
-)
+from repro.scheduling import BaseScheduler, Outcome, granted
 from repro.storage.gc import GCReport, WatermarkGC
 from repro.storage.store import MultiVersionStore
 from repro.txn.clock import LogicalClock, Timestamp
-from repro.txn.transaction import (
-    GranuleId,
-    SegmentId,
-    Transaction,
-    TransactionKind,
-)
+from repro.txn.transaction import GranuleId, SegmentId, Transaction
 
 
 class HDDScheduler(BaseScheduler):
@@ -96,6 +68,10 @@ class HDDScheduler(BaseScheduler):
         fresh_walls: bool = False,
         snapshot_cache: bool = True,
     ) -> None:
+        #: The access rule and its per-transaction state; this
+        #: scheduler is its in-process host.  Built first: the base
+        #: constructor already binds ``read``/``write`` through it.
+        self.protocol = HDDProtocol(self, fresh_walls=fresh_walls)
         super().__init__(store=store, clock=clock)
         self.partition = partition
         self.tracker = ActivityTracker(partition.index)
@@ -111,24 +87,14 @@ class HDDScheduler(BaseScheduler):
         self.protocol_b: IntraClassEngine = engine_cls(
             self.store, self.schedule, self.stats
         )
-        #: Declared read segments of read-only transactions.
-        self._ro_segments: dict[int, Optional[frozenset[SegmentId]]] = {}
-        #: Shared snapshot of the time wall pinned by each Protocol C
-        #: transaction.  Pinning is mirrored into the wall manager so
-        #: retirement never drops a wall someone is still reading below;
-        #: readers of the same wall share one resolved snapshot.
-        self._ro_walls: dict[int, WallSnapshot] = {}
-        #: Cached per-transaction walls, ``txn_id -> segment -> wall``
-        #: (Protocol A walls for update transactions, fictitious-class
-        #: walls for declared-path readers).  The A function is
-        #: deterministic for a fixed (class, segment, I), so caching is
-        #: purely an optimisation; the nesting makes :meth:`_forget` one
-        #: dict pop instead of a sweep over every segment.
-        self._a_wall_cache: dict[int, dict[SegmentId, Timestamp]] = {}
-        #: Attempt a wall release at every read-only begin, trading wall
-        #: computation for snapshot freshness (used by the Database
-        #: facade; the paper's periodic cadence is the default).
-        self.fresh_walls = fresh_walls
+        # Host calls (and the base's classification hook) that are
+        # existing methods under another name — bound per instance so a
+        # subclass override is honoured.
+        self.admit = self._require_active
+        self.engine_read = self.protocol_b.read
+        self.engine_write = self.protocol_b.write
+        self.component_read = self._read_below_wall
+        self._make_transaction = self.protocol.classify
         self.snapshot_cache = snapshot_cache
         #: Per-segment frozen-prefix marks: the components of the newest
         #: released time wall, lazily pushed into chains at read time.
@@ -152,38 +118,6 @@ class HDDScheduler(BaseScheduler):
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def _make_transaction(self, txn_id, initiation_ts, kind, profile):
-        if kind is TransactionKind.READ_ONLY:
-            if self.fresh_walls:
-                try:
-                    self.walls.force_release()
-                except ReproError:
-                    pass  # unsettled right now; the last wall serves
-            segments: Optional[frozenset[SegmentId]] = None
-            if profile is not None:
-                declared = self.partition.profile(profile)
-                if not declared.is_read_only:
-                    raise ProtocolViolation(
-                        f"profile {profile!r} is an update profile but the "
-                        "transaction was begun read-only"
-                    )
-                segments = declared.reads
-            self._ro_segments[txn_id] = segments
-            return Transaction(txn_id, initiation_ts, kind)
-        if profile is None:
-            raise ProtocolViolation(
-                "HDD update transactions must name a transaction profile"
-            )
-        declared = self.partition.profile(profile)
-        if declared.is_read_only:
-            raise ProtocolViolation(
-                f"profile {profile!r} is read-only; begin with read_only=True"
-            )
-        class_id = declared.root_segment
-        txn = Transaction(txn_id, initiation_ts, kind, class_id=class_id)
-        self.tracker.record_begin(class_id, txn_id, initiation_ts)
-        return txn
-
     def begin(self, profile=None, read_only=False) -> Transaction:
         txn = super().begin(profile=profile, read_only=read_only)
         self.poll_walls()
@@ -196,112 +130,44 @@ class HDDScheduler(BaseScheduler):
         super().set_sink(sink)
         self.walls.set_sink(self._sink, step_source=self)
 
-    def _protocol_used(self, txn, granule, op) -> Optional[str]:
-        """Tag granted accesses with the paper's A/B/C dispatch.
-
-        Only evaluated when tracing is on; mirrors the dispatch in
-        :meth:`_do_read` / :meth:`_do_write` without re-running it.
-        """
-        if op == "write":
-            return "B"
-        if not txn.is_read_only:
-            segment = self.partition.segment_of(granule)
-            return "B" if segment == txn.class_id else "A"
-        declared = self._ro_segments.get(txn.txn_id)
-        if declared is not None and (
-            self.partition.read_only_on_one_critical_path(declared)
-        ):
-            return "A"  # fictitious-class walls, Section 5.0
-        return "C"
-
     # ------------------------------------------------------------------
-    # Reads
+    # The protocol core's host surface, bound in-process
     # ------------------------------------------------------------------
-    def _do_read(self, txn: Transaction, granule: GranuleId) -> Outcome:
-        self._require_active(txn)
-        segment = self.partition.segment_of(granule)
-        if txn.is_read_only:
-            return self._read_only_read(txn, granule, segment)
-        assert txn.class_id is not None
-        if segment == txn.class_id:
-            outcome = self.protocol_b.read(txn, granule)
-            if outcome.aborted:
-                self._cleanup_abort(txn, outcome.reason or "protocol B rejection")
-            return outcome
-        if self.partition.is_higher(segment, txn.class_id):
-            return self._protocol_a_read(txn, granule, segment)
-        raise ProtocolViolation(
-            f"txn {txn.txn_id} (class {txn.class_id!r}) may not read "
-            f"segment {segment!r}: it is not higher than its root"
+    def open_interval(self, txn: Transaction) -> None:
+        self.tracker.record_begin(
+            txn.class_id, txn.txn_id, txn.initiation_ts
         )
 
-    def _protocol_a_read(
-        self, txn: Transaction, granule: GranuleId, segment: SegmentId
-    ) -> Outcome:
-        """Protocol A: wall ``A_i^j(I(t))``, no registration, no waiting."""
-        cache = self._a_wall_cache.setdefault(txn.txn_id, {})
-        wall = cache.get(segment)
+    def wall_read(
+        self,
+        txn: Transaction,
+        granule: GranuleId,
+        segment: SegmentId,
+        start: SegmentId,
+        from_below: bool,
+        wall: Optional[Timestamp],
+    ) -> tuple[Timestamp, Outcome]:
         if wall is None:
-            assert txn.class_id is not None
-            wall = self.tracker.a_func(
-                txn.class_id, segment, txn.initiation_ts
-            )
-            cache[segment] = wall
-        return self._read_below_wall(txn, granule, wall, segment)
+            log = self.tracker
+            a_func = log.a_func_from_below if from_below else log.a_func
+            wall = a_func(start, segment, txn.initiation_ts)
+        return wall, self._read_below_wall(txn, granule, wall, segment)
 
-    def _read_only_read(
-        self, txn: Transaction, granule: GranuleId, segment: SegmentId
-    ) -> Outcome:
-        declared = self._ro_segments.get(txn.txn_id)
-        if declared is not None:
-            if segment not in declared:
-                raise ProtocolViolation(
-                    f"read-only txn {txn.txn_id} declared segments "
-                    f"{sorted(declared)} but read {segment!r}"
-                )
-            if self.partition.read_only_on_one_critical_path(declared):
-                cache = self._a_wall_cache.setdefault(txn.txn_id, {})
-                wall = cache.get(segment)
-                if wall is None:
-                    bottom = self.partition.index.lowest_of(list(declared))
-                    wall = self.tracker.a_func_from_below(
-                        bottom, segment, txn.initiation_ts
-                    )
-                    cache[segment] = wall
-                return self._read_below_wall(txn, granule, wall, segment)
-        return self._protocol_c_read(txn, granule, segment)
+    def pin_wall(self, txn: Transaction, wall: TimeWall) -> WallSnapshot:
+        """Pin ``wall`` in the manager so retirement never drops a wall
+        someone is still reading below; readers of the same wall share
+        one resolved snapshot."""
+        self.walls.pin(wall, txn_id=txn.txn_id)
+        return self.walls.snapshot(wall)
 
-    def _protocol_c_read(
-        self, txn: Transaction, granule: GranuleId, segment: SegmentId
-    ) -> Outcome:
-        snap = self._ro_walls.get(txn.txn_id)
-        if snap is None:
-            wall_obj: Optional[TimeWall]
-            if self.fresh_walls and self.walls.released:
-                # Freshness mode: pin the newest wall outright (any
-                # released wall is a consistent cut; the RT < I(t)
-                # rule only matters for the paper's cadence semantics).
-                wall_obj = self.walls.released[-1]
-            else:
-                wall_obj = self.walls.wall_for(txn.initiation_ts)
-            if wall_obj is None and self.walls.released:
-                # No wall released strictly before I(t): fall back to
-                # the newest released wall.  Theorem 2 holds for *any*
-                # released wall; the RT < I(t) rule is a freshness
-                # heuristic only (DESIGN.md §7).
-                wall_obj = self.walls.released[-1]
-            if wall_obj is None:
-                self.poll_walls()
-                wall_obj = self.walls.wall_for(self.clock.now + 1)
-            if wall_obj is None:
-                self.stats.wall_blocks += 1
-                return blocked(waiting_for=WAIT_TIMEWALL)
-            snap = self.walls.snapshot(wall_obj)
-            self._ro_walls[txn.txn_id] = snap
-            self.walls.pin(wall_obj, txn_id=txn.txn_id)
-        return self._read_below_wall(
-            txn, granule, snap.component(segment), segment
-        )
+    def unpin_wall(self, txn: Transaction, pinned: WallSnapshot) -> None:
+        self.walls.unpin(pinned.wall, txn_id=txn.txn_id)
+
+    # The algorithm-specific read and write ARE the core's — properties,
+    # so the untraced ``self.read = self._do_read`` shortcut of the base
+    # reaches them without a delegating frame.
+    _do_read = property(lambda self: self.protocol.read)
+    _do_write = property(lambda self: self.protocol.write)
 
     def _read_below_wall(
         self,
@@ -333,28 +199,6 @@ class HDDScheduler(BaseScheduler):
         return granted(value=version.value, version_ts=version.ts)
 
     # ------------------------------------------------------------------
-    # Writes
-    # ------------------------------------------------------------------
-    def _do_write(
-        self, txn: Transaction, granule: GranuleId, value: object
-    ) -> Outcome:
-        self._require_active(txn)
-        if txn.is_read_only:
-            raise ProtocolViolation(
-                f"read-only txn {txn.txn_id} attempted a write"
-            )
-        segment = self.partition.segment_of(granule)
-        if segment != txn.class_id:
-            raise ProtocolViolation(
-                f"txn {txn.txn_id} (class {txn.class_id!r}) may not write "
-                f"segment {segment!r}: updates stay in the root segment"
-            )
-        outcome = self.protocol_b.write(txn, granule, value)
-        if outcome.aborted:
-            self._cleanup_abort(txn, outcome.reason or "protocol B rejection")
-        return outcome
-
-    # ------------------------------------------------------------------
     # Commit / abort
     # ------------------------------------------------------------------
     def _do_commit(self, txn: Transaction) -> Outcome:
@@ -363,7 +207,7 @@ class HDDScheduler(BaseScheduler):
             veto = self.protocol_b.commit_check(txn)
             if veto is not None:
                 if veto.aborted:
-                    self._cleanup_abort(
+                    self.cleanup_abort(
                         txn, veto.reason or "commit-time rejection"
                     )
                 return veto
@@ -375,15 +219,15 @@ class HDDScheduler(BaseScheduler):
         if txn.class_id is not None:
             self.tracker.record_end(txn.class_id, txn.txn_id, commit_ts)
         self.protocol_b.forget(txn.txn_id)
-        self._forget(txn)
+        self.protocol.forget(txn)
         self.poll_walls()
         return granted(version_ts=commit_ts)
 
     def abort(self, txn: Transaction, reason: str) -> None:
         self._require_active(txn)
-        self._cleanup_abort(txn, reason)
+        self.cleanup_abort(txn, reason)
 
-    def _cleanup_abort(self, txn: Transaction, reason: str) -> None:
+    def cleanup_abort(self, txn: Transaction, reason: str) -> None:
         """Expunge versions, close the activity interval, record the abort.
 
         Called both for voluntary aborts and for Protocol B rejections
@@ -398,21 +242,15 @@ class HDDScheduler(BaseScheduler):
         if txn.class_id is not None:
             self.tracker.record_end(txn.class_id, txn.txn_id, abort_ts)
         self.protocol_b.forget(txn.txn_id)
-        self._forget(txn)
+        self.protocol.forget(txn)
         self.poll_walls()
-
-    def _forget(self, txn: Transaction) -> None:
-        self._ro_segments.pop(txn.txn_id, None)
-        pinned = self._ro_walls.pop(txn.txn_id, None)
-        if pinned is not None:
-            self.walls.unpin(pinned.wall, txn_id=txn.txn_id)
-        self._a_wall_cache.pop(txn.txn_id, None)
 
     # ------------------------------------------------------------------
     # Time walls and garbage collection
     # ------------------------------------------------------------------
-    def poll_walls(self) -> Optional[TimeWall]:
-        """Drive the Protocol C wall-release loop."""
+    def poll_walls(self, txn_id: Optional[int] = None) -> Optional[TimeWall]:
+        """Drive the Protocol C wall-release loop (``txn_id``, the
+        transaction a poll serves, only matters to a host with a wire)."""
         released = self.walls.poll()
         if released is not None:
             self._advance_frozen_marks()
@@ -452,7 +290,7 @@ class HDDScheduler(BaseScheduler):
         """
         keep: set[Timestamp] = set()
         for txn in self.active_transactions():
-            if not txn.is_read_only or txn.txn_id in self._ro_walls:
+            if not txn.is_read_only or txn.txn_id in self.protocol.pinned:
                 continue
             candidate = self.walls.wall_for(txn.initiation_ts)
             if candidate is not None:
@@ -495,7 +333,6 @@ class HDDScheduler(BaseScheduler):
         """
         now = self.clock.now
         tracker = self.tracker
-        index = self.partition.index
         a_now: dict[tuple[SegmentId, SegmentId], Timestamp] = {}
         for i, j, hop in self._watermark_plan():
             base = now if hop == i else a_now[(i, hop)]
@@ -511,9 +348,10 @@ class HDDScheduler(BaseScheduler):
                         tracker.a_func_from_below(i, j, now)
                     )
             marks[j] = min(candidates)
+        protocol = self.protocol
         for txn in self.active_transactions():
             if txn.class_id is not None:
-                cache = self._a_wall_cache.setdefault(txn.txn_id, {})
+                cache = protocol.a_walls.setdefault(txn.txn_id, {})
                 for j in self.partition.segments:
                     if self.partition.is_higher(j, txn.class_id):
                         wall = cache.get(j)
@@ -524,17 +362,14 @@ class HDDScheduler(BaseScheduler):
                             cache[j] = wall
                         marks[j] = min(marks[j], wall)
             elif txn.is_read_only:
-                declared = self._ro_segments.get(txn.txn_id)
-                pinned = self._ro_walls.get(txn.txn_id)
+                pinned = protocol.pinned.get(txn.txn_id)
+                bottom = protocol.ro_bottom.get(txn.txn_id)
                 if pinned is not None:
                     for j, wall in pinned.components.items():
                         marks[j] = min(marks[j], wall)
-                elif declared is not None and (
-                    self.partition.read_only_on_one_critical_path(declared)
-                ):
-                    cache = self._a_wall_cache.setdefault(txn.txn_id, {})
-                    bottom = index.lowest_of(list(declared))
-                    for j in declared:
+                elif bottom is not None:
+                    cache = protocol.a_walls.setdefault(txn.txn_id, {})
+                    for j in protocol.ro_segments[txn.txn_id]:
                         wall = cache.get(j)
                         if wall is None:
                             wall = tracker.a_func_from_below(

@@ -2,8 +2,9 @@
 
 One :class:`SegmentNode` per DHG class over a deterministic
 fault-injecting :class:`SimNetwork`, fronted by a
-:class:`DistributedRuntime` coordinator that duck-types the scheduler
-surface the simulator drives.  See DESIGN.md §11.  With
+:class:`DistributedRuntime` coordinator — a
+:class:`~repro.scheduling.BaseScheduler` hosting the same protocol core
+as the monolithic scheduler.  See DESIGN.md §11 and §17.  With
 ``transport="proc"`` the same nodes run in real OS worker processes
 over a :class:`ProcNetwork` (DESIGN.md §16); the sim path stays the
 deterministic twin.

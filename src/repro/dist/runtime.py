@@ -1,11 +1,15 @@
 """The coordinator front-end of the distributed segment-controller runtime.
 
-:class:`DistributedRuntime` duck-types the scheduler surface the
-simulator drives (``begin``/``read``/``write``/``commit``/``abort``,
-``stats``, ``schedule``, ``store``, ``set_sink``; plus ``walls`` /
-``poll_walls`` in HDD modes) but executes every operation as a
-synchronous RPC over a :class:`~repro.dist.net.SimNetwork` to the
-:class:`~repro.dist.node.SegmentNode` owning the touched segment.
+:class:`DistributedRuntime` is a :class:`~repro.scheduling.BaseScheduler`
+— the simulator, the server and the explorer drive it through the same
+``begin``/``read``/``write``/``commit``/``abort`` funnels as any other
+scheduler — that executes every operation as a synchronous RPC over a
+:class:`~repro.dist.net.SimNetwork` to the
+:class:`~repro.dist.node.SegmentNode` owning the touched segment.  In
+the HDD modes the access rule is not restated here: the runtime hosts
+the same :class:`~repro.core.protocol.HDDProtocol` core as the
+monolithic scheduler and binds the core's host surface to RPCs, flush
+barriers and fences (DESIGN.md §17).
 
 Modes
 -----
@@ -23,9 +27,8 @@ On an ideal plan every RPC resolves inside one network tick, handlers
 gossip before they acknowledge, and digest horizons read the shared
 oracle clock — so every wall, outcome, timestamp and schedule step
 matches the monolithic scheduler byte for byte (the equivalence test
-pins this).  The coordinator methods below deliberately mirror
-:class:`repro.core.scheduler.HDDScheduler` line by line; deviations are
-commented where the wire forces one.
+pins this): both run the one protocol core, and each host call below
+does over the wire what its monolithic twin does in process.
 
 Gossip batching
 ---------------
@@ -62,43 +65,34 @@ plan contains crashes, so a crash the coordinator never observed
 mid-flight still cannot commit a transaction whose conflict-detection
 state evaporated.
 
-This class intentionally does NOT subclass ``BaseScheduler``: its
-``stats`` are a *merged view* over the coordinator's own counters and
-every node's (a property, which a data-descriptor conflict with
-``BaseScheduler.__init__``'s ``self.stats = ...`` assignment rules
-out), so the few funnels it needs are replicated here instead.
+``stats`` is a *merged view* over the coordinator's own counters
+(``_stats``, which the ``BaseScheduler`` funnels increment: lifecycles)
+and every node's (operations) — the split avoids double counting.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import fields as dataclass_fields
 from typing import Iterator, Optional
 
 from repro.core.partition import HierarchicalPartition
-from repro.core.timewall import TimeWall
+from repro.core.protocol import HDDProtocol
+from repro.core.timewall import TimeWall, TimeWallManager
 from repro.dist.net import FaultPlan, Message, SimNetwork
 from repro.dist.node import SegmentNode, node_name
 from repro.errors import ConfigError, ProtocolViolation, ReproError
 from repro.obs.events import (
-    AbortedEvent,
-    BeginEvent,
-    BlockedEvent,
-    CommittedEvent,
     EventSink,
     MessageDeliveredEvent,
     MessageDroppedEvent,
     MessageSentEvent,
     NodeCrashedEvent,
     NodeRecoveredEvent,
-    NullSink,
     WorkerProcessEvent,
     OpSpanEvent,
-    ReadEvent,
-    WriteEvent,
 )
 from repro.scheduling import (
-    WAIT_TIMEWALL,
+    BaseScheduler,
     Outcome,
     SchedulerStats,
     aborted,
@@ -106,13 +100,7 @@ from repro.scheduling import (
     granted,
 )
 from repro.txn.clock import LogicalClock, Timestamp
-from repro.txn.schedule import Schedule
-from repro.txn.transaction import (
-    GranuleId,
-    SegmentId,
-    Transaction,
-    TransactionKind,
-)
+from repro.txn.transaction import GranuleId, SegmentId, Transaction
 
 #: Modes and the intra-class / shard engine each one runs.
 MODES = {
@@ -160,16 +148,9 @@ class WallView:
                 )
             )
 
-    def wall_for(self, initiation_ts: Timestamp) -> Optional[TimeWall]:
-        """Newest wall with ``RT < I(t)`` (same bisect as the manager)."""
-        position = bisect.bisect_left(
-            self.released,
-            initiation_ts,
-            key=lambda wall: wall.release_ts,
-        )
-        if position == 0:
-            return None
-        return self.released[position - 1]
+    #: Newest wall with ``RT < I(t)``: the manager's own bisection,
+    #: which reads nothing but the ascending ``released`` list.
+    wall_for = TimeWallManager.wall_for
 
 
 class FederatedStore:
@@ -237,7 +218,7 @@ class FederatedStore:
             yield from self._nodes[segment].store
 
 
-class DistributedRuntime:
+class DistributedRuntime(BaseScheduler):
     """Coordinator + per-segment nodes over a deterministic network."""
 
     COORD = "coord"
@@ -269,6 +250,7 @@ class DistributedRuntime:
             raise ConfigError(
                 f"unknown transport {transport!r}; choose 'sim' or 'proc'"
             )
+        super().__init__(clock=clock)
         self.mode = mode
         self.name = f"dist-{mode}"
         self.is_hdd = mode in ("hdd", "hdd-to")
@@ -278,17 +260,6 @@ class DistributedRuntime:
         self.batch_gossip = batch_gossip and self.is_hdd
         self.snapshot_cache = snapshot_cache
         self.transport = transport
-        self.clock = clock if clock is not None else LogicalClock()
-        self.schedule = Schedule()
-        self.transactions: dict[int, Transaction] = {}
-        self._active: dict[int, Transaction] = {}
-        self._next_txn_id = 1
-        self._sink: Optional[EventSink] = None
-        self.current_step: Optional[int] = None
-        #: Coordinator-side counters only; merged with every node's in
-        #: the :attr:`stats` property (the split avoids double counting:
-        #: nodes count operations, the coordinator counts lifecycles).
-        self._stats = SchedulerStats()
         # -- network and nodes -----------------------------------------
         classes = sorted(partition.segments)
         self.leader_class = None
@@ -388,9 +359,12 @@ class DistributedRuntime:
         if self.is_hdd:
             # Instance attributes on purpose: the simulator probes
             # ``getattr(scheduler, "walls"/"poll_walls", None)`` and the
-            # baselines must stay invisible to that probe.
+            # server asks ``scheduler.protocol`` — the baselines must
+            # stay invisible to both.
             self.walls = WallView()
             self.poll_walls = self._poll_walls
+            self.protocol = HDDProtocol(self)
+            self._make_transaction = self.protocol.classify
         # -- RPC machinery ---------------------------------------------
         self._next_req = 1
         self._pending: set[int] = set()
@@ -413,10 +387,6 @@ class DistributedRuntime:
             + 2,
             4,
         )
-        # -- HDD coordinator caches (mirroring the monolithic ones) ----
-        self._ro_segments: dict[int, Optional[frozenset[SegmentId]]] = {}
-        self._ro_walls: dict[int, TimeWall] = {}
-        self._a_wall_cache: dict[int, dict[SegmentId, Timestamp]] = {}
         # -- gossip batching: barriers and the poll governor -----------
         #: Classes whose digests a wall-computing READ_A at a target
         #: node consumes, keyed by ``(start, target, from_below)``.
@@ -679,7 +649,7 @@ class DistributedRuntime:
         ]
         for txn in sorted(victims, key=lambda t: t.txn_id):
             if txn.is_active:  # a nested fence may have got there first
-                self._cleanup_abort(
+                self.cleanup_abort(
                     txn, f"node restart: {node} lost in-flight state"
                 )
 
@@ -702,7 +672,7 @@ class DistributedRuntime:
         for name in sorted(touched):
             if self.network.is_down(name):
                 reason = f"dead on wire: {name} is down with in-flight state"
-                self._cleanup_abort(txn, reason, background=True)
+                self.cleanup_abort(txn, reason, background=True)
                 return aborted(reason)
         return None
 
@@ -728,22 +698,16 @@ class DistributedRuntime:
         }
 
     # ------------------------------------------------------------------
-    # Tracing (mirrors BaseScheduler.set_sink / _emit_access)
+    # Tracing
     # ------------------------------------------------------------------
     def set_sink(self, sink: Optional[EventSink]) -> None:
-        if isinstance(sink, NullSink):
-            sink = None
-        self._sink = sink
+        super().set_sink(sink)
         for node in self.nodes.values():
-            node.sink = sink
+            node.sink = self._sink
         if self.is_hdd:
             leader = self.nodes[self.leader_class]
             if leader.leader:
-                leader.walls.set_sink(sink, step_source=self)
-
-    @property
-    def sink(self) -> Optional[EventSink]:
-        return self._sink
+                leader.walls.set_sink(self._sink, step_source=self)
 
     def _span_open(self) -> int:
         """Enter an operation funnel; returns its start network tick."""
@@ -779,224 +743,34 @@ class DistributedRuntime:
             )
         )
 
-    @staticmethod
-    def _status(outcome: Outcome) -> str:
-        if outcome.granted:
-            return "granted"
-        if outcome.blocked:
-            return "blocked"
-        return "aborted"
-
-    def _txn_class(self, txn: Transaction) -> Optional[str]:
-        return txn.class_id
-
-    def _protocol_used(
-        self, txn: Transaction, granule: GranuleId, op: str
-    ) -> Optional[str]:
-        if not self.is_hdd:
-            return None
-        if op == "write":
-            return "B"
-        if not txn.is_read_only:
-            segment = self.partition.segment_of(granule)
-            return "B" if segment == txn.class_id else "A"
-        declared = self._ro_segments.get(txn.txn_id)
-        if declared is not None and (
-            self.partition.read_only_on_one_critical_path(declared)
-        ):
-            return "A"
-        return "C"
-
-    def _emit_access(
-        self, op: str, txn: Transaction, granule: GranuleId, outcome: Outcome
-    ) -> None:
-        sink = self._sink
-        assert sink is not None
-        if outcome.granted:
-            cls = ReadEvent if op == "read" else WriteEvent
-            sink.emit(
-                cls(
-                    step=self.current_step,
-                    ts=self.clock.now,
-                    txn_id=txn.txn_id,
-                    txn_class=self._txn_class(txn),
-                    granule=granule,
-                    version_ts=outcome.version_ts,
-                    protocol=self._protocol_used(txn, granule, op),
-                )
-            )
-        elif outcome.blocked:
-            sink.emit(
-                BlockedEvent(
-                    step=self.current_step,
-                    ts=self.clock.now,
-                    txn_id=txn.txn_id,
-                    txn_class=self._txn_class(txn),
-                    op=op,
-                    granule=granule,
-                    wait_target=outcome.waiting_for,
-                )
-            )
-
     # ------------------------------------------------------------------
-    # Lifecycle funnels (mirrors BaseScheduler begin/_finish_*)
+    # Operations: the BaseScheduler funnels, each inside an op span
     # ------------------------------------------------------------------
-    def begin(
-        self,
-        profile: Optional[str] = None,
-        read_only: bool = False,
-    ) -> Transaction:
-        txn_id = self._next_txn_id
+    def begin(self, profile=None, read_only=False) -> Transaction:
         start_tick = self._span_open()
-        self._next_txn_id += 1
-        initiation_ts = self.clock.tick()
-        kind = (
-            TransactionKind.READ_ONLY if read_only else TransactionKind.UPDATE
-        )
-        txn = self._make_transaction(txn_id, initiation_ts, kind, profile)
-        self.transactions[txn_id] = txn
-        self._active[txn_id] = txn
-        self._stats.begins += 1
-        if self._sink is not None:
-            self._sink.emit(
-                BeginEvent(
-                    step=self.current_step,
-                    ts=initiation_ts,
-                    txn_id=txn_id,
-                    txn_class=self._txn_class(txn),
-                    read_only=read_only,
-                    profile=profile,
-                )
-            )
+        txn = super().begin(profile=profile, read_only=read_only)
         if self.is_hdd:
-            self.poll_walls(txn_id)
-        self._span_close("begin", txn_id, start_tick)
+            self.poll_walls(txn.txn_id)
+        self._span_close("begin", txn.txn_id, start_tick)
         return txn
 
-    def _make_transaction(
-        self,
-        txn_id: int,
-        initiation_ts: Timestamp,
-        kind: TransactionKind,
-        profile: Optional[str],
-    ) -> Transaction:
-        if not self.is_hdd:
-            return Transaction(txn_id, initiation_ts, kind)
-        if kind is TransactionKind.READ_ONLY:
-            segments: Optional[frozenset[SegmentId]] = None
-            if profile is not None:
-                declared = self.partition.profile(profile)
-                if not declared.is_read_only:
-                    raise ProtocolViolation(
-                        f"profile {profile!r} is an update profile but "
-                        "the transaction was begun read-only"
-                    )
-                segments = declared.reads
-            self._ro_segments[txn_id] = segments
-            return Transaction(txn_id, initiation_ts, kind)
-        if profile is None:
-            raise ProtocolViolation(
-                "HDD update transactions must name a transaction profile"
-            )
-        declared = self.partition.profile(profile)
-        if declared.is_read_only:
-            raise ProtocolViolation(
-                f"profile {profile!r} is read-only; begin with "
-                "read_only=True"
-            )
-        class_id = declared.root_segment
-        txn = Transaction(txn_id, initiation_ts, kind, class_id=class_id)
-        # BEGIN is a *reliable awaited* RPC: a lost begin would leave an
-        # interval the class activity log never opened, and no later
-        # message can repair the walls computed in the gap.
-        self._touch(txn_id, class_id)
-        self._rpc(
-            class_id,
-            "BEGIN",
-            {"txn": self._txn_meta(txn)},
-            txn_id=txn_id,
-        )
-        return txn
-
-    def _finish_commit(self, txn: Transaction) -> Timestamp:
-        commit_ts = self.clock.tick()
-        txn.mark_committed(commit_ts)
-        self._active.pop(txn.txn_id, None)
-        self.schedule.record_commit(txn.txn_id)
-        self._stats.commits += 1
-        if self._sink is not None:
-            self._sink.emit(
-                CommittedEvent(
-                    step=self.current_step,
-                    ts=commit_ts,
-                    txn_id=txn.txn_id,
-                    txn_class=self._txn_class(txn),
-                )
-            )
-        return commit_ts
-
-    def _finish_abort(self, txn: Transaction, reason: str) -> Timestamp:
-        abort_ts = self.clock.tick()
-        txn.mark_aborted(abort_ts, reason)
-        self._active.pop(txn.txn_id, None)
-        self.schedule.record_abort(txn.txn_id)
-        self._stats.count_abort(reason)
-        if self._sink is not None:
-            self._sink.emit(
-                AbortedEvent(
-                    step=self.current_step,
-                    ts=abort_ts,
-                    txn_id=txn.txn_id,
-                    txn_class=self._txn_class(txn),
-                    reason=reason,
-                )
-            )
-        return abort_ts
-
-    # ------------------------------------------------------------------
-    # Operations
-    # ------------------------------------------------------------------
-    def read(self, txn: Transaction, granule: GranuleId) -> Outcome:
+    def _in_span(self, op: str, funnel, txn: Transaction, *args) -> Outcome:
+        """Run one base funnel (``super().read`` ...) inside its op span."""
         start_tick = self._span_open()
-        outcome = self._do_read(txn, granule)
-        if self._sink is not None:
-            self._emit_access("read", txn, granule, outcome)
-        self._span_close(
-            "read", txn.txn_id, start_tick, self._status(outcome)
-        )
+        outcome = funnel(txn, *args)
+        self._span_close(op, txn.txn_id, start_tick, outcome.kind.value)
         return outcome
+
+    def read(self, txn: Transaction, granule: GranuleId) -> Outcome:
+        return self._in_span("read", super().read, txn, granule)
 
     def write(
         self, txn: Transaction, granule: GranuleId, value: object
     ) -> Outcome:
-        start_tick = self._span_open()
-        outcome = self._do_write(txn, granule, value)
-        if self._sink is not None:
-            self._emit_access("write", txn, granule, outcome)
-        self._span_close(
-            "write", txn.txn_id, start_tick, self._status(outcome)
-        )
-        return outcome
+        return self._in_span("write", super().write, txn, granule, value)
 
     def commit(self, txn: Transaction) -> Outcome:
-        start_tick = self._span_open()
-        outcome = self._do_commit(txn)
-        if self._sink is not None and outcome.blocked:
-            self._sink.emit(
-                BlockedEvent(
-                    step=self.current_step,
-                    ts=self.clock.now,
-                    txn_id=txn.txn_id,
-                    txn_class=self._txn_class(txn),
-                    op="commit",
-                    granule=None,
-                    wait_target=outcome.waiting_for,
-                )
-            )
-        self._span_close(
-            "commit", txn.txn_id, start_tick, self._status(outcome)
-        )
-        return outcome
+        return self._in_span("commit", super().commit, txn)
 
     def _killed(self, txn: Transaction) -> Outcome:
         """A background incarnation fence aborted this transaction; the
@@ -1006,41 +780,51 @@ class DistributedRuntime:
             txn.abort_reason or "transaction killed by a node restart"
         )
 
-    def _do_read(self, txn: Transaction, granule: GranuleId) -> Outcome:
+    # ------------------------------------------------------------------
+    # The protocol core's host surface, bound to the wire
+    # ------------------------------------------------------------------
+    def admit(self, txn: Transaction) -> Optional[Outcome]:
         if not txn.is_active:
             return self._killed(txn)
-        doomed = self._wire_fence(txn)
-        if doomed is not None:
-            return doomed
-        if not self.is_hdd:
-            return self._baseline_op(txn, "READ_B", {"granule": granule})
-        segment = self.partition.segment_of(granule)
-        if txn.is_read_only:
-            return self._read_only_read(txn, granule, segment)
-        assert txn.class_id is not None
-        if segment == txn.class_id:
-            outcome = self._engine_op(
-                txn, segment, "READ_B", {"granule": granule}
-            )
-            if outcome.aborted and txn.is_active:
-                self._cleanup_abort(
-                    txn, outcome.reason or "protocol B rejection"
-                )
-            return outcome
-        if self.partition.is_higher(segment, txn.class_id):
-            return self._protocol_a_read(txn, granule, segment)
-        raise ProtocolViolation(
-            f"txn {txn.txn_id} (class {txn.class_id!r}) may not read "
-            f"segment {segment!r}: it is not higher than its root"
+        return self._wire_fence(txn)
+
+    def open_interval(self, txn: Transaction) -> None:
+        # BEGIN is a *reliable awaited* RPC: a lost begin would leave an
+        # interval the class activity log never opened, and no later
+        # message can repair the walls computed in the gap.
+        self._touch(txn.txn_id, txn.class_id)
+        self._rpc(
+            txn.class_id,
+            "BEGIN",
+            {"txn": self._txn_meta(txn)},
+            txn_id=txn.txn_id,
         )
 
-    def _protocol_a_read(
-        self, txn: Transaction, granule: GranuleId, segment: SegmentId
+    def engine_read(self, txn: Transaction, granule: GranuleId) -> Outcome:
+        return self._engine_op(
+            txn, txn.class_id, "READ_B", {"granule": granule}
+        )
+
+    def engine_write(
+        self, txn: Transaction, granule: GranuleId, value: object
     ) -> Outcome:
-        cache = self._a_wall_cache.setdefault(txn.txn_id, {})
-        if self.batch_gossip and cache.get(segment) is None:
-            # The node is about to compute A_i^j(I) from its digests.
-            self._flush_for_wall_read(txn.class_id, segment, False)
+        return self._engine_op(
+            txn, txn.class_id, "WRITE", {"granule": granule, "value": value}
+        )
+
+    def wall_read(
+        self,
+        txn: Transaction,
+        granule: GranuleId,
+        segment: SegmentId,
+        start: SegmentId,
+        from_below: bool,
+        wall: Optional[Timestamp],
+    ) -> tuple[Optional[Timestamp], Outcome]:
+        if self.batch_gossip and wall is None:
+            # The node is about to compute A_start^segment(I) from its
+            # digests.
+            self._flush_for_wall_read(start, segment, from_below)
         response = self._rpc(
             segment,
             "READ_A",
@@ -1048,80 +832,49 @@ class DistributedRuntime:
                 "txn_id": txn.txn_id,
                 "I": txn.initiation_ts,
                 "granule": granule,
-                "reader_class": txn.class_id,
-                "wall": cache.get(segment),
+                "bottom" if from_below else "reader_class": start,
+                "wall": wall,
             },
             txn_id=txn.txn_id,
         )
         if not txn.is_active:
-            return self._killed(txn)
-        cache[segment] = response["wall"]
-        return self._mirror_read(txn, granule, response)
+            return None, self._killed(txn)
+        return response["wall"], self._mirror_read(txn, granule, response)
 
-    def _read_only_read(
-        self, txn: Transaction, granule: GranuleId, segment: SegmentId
+    def component_read(
+        self,
+        txn: Transaction,
+        granule: GranuleId,
+        component: Timestamp,
+        segment: SegmentId,
     ) -> Outcome:
-        declared = self._ro_segments.get(txn.txn_id)
-        if declared is not None:
-            if segment not in declared:
-                raise ProtocolViolation(
-                    f"read-only txn {txn.txn_id} declared segments "
-                    f"{sorted(declared)} but read {segment!r}"
-                )
-            if self.partition.read_only_on_one_critical_path(declared):
-                cache = self._a_wall_cache.setdefault(txn.txn_id, {})
-                bottom = self.partition.index.lowest_of(list(declared))
-                if self.batch_gossip and cache.get(segment) is None:
-                    self._flush_for_wall_read(bottom, segment, True)
-                response = self._rpc(
-                    segment,
-                    "READ_A",
-                    {
-                        "txn_id": txn.txn_id,
-                        "I": txn.initiation_ts,
-                        "granule": granule,
-                        "bottom": bottom,
-                        "wall": cache.get(segment),
-                    },
-                    txn_id=txn.txn_id,
-                )
-                if not txn.is_active:
-                    return self._killed(txn)
-                cache[segment] = response["wall"]
-                return self._mirror_read(txn, granule, response)
-        return self._protocol_c_read(txn, granule, segment)
-
-    def _protocol_c_read(
-        self, txn: Transaction, granule: GranuleId, segment: SegmentId
-    ) -> Outcome:
-        wall_obj = self._ro_walls.get(txn.txn_id)
-        if wall_obj is None:
-            wall_obj = self.walls.wall_for(txn.initiation_ts)
-            if wall_obj is None and self.walls.released:
-                # Theorem 2 holds for any released wall; RT < I(t) is a
-                # freshness heuristic (same fallback as the monolith).
-                wall_obj = self.walls.released[-1]
-            if wall_obj is None:
-                self.poll_walls(txn.txn_id)
-                wall_obj = self.walls.wall_for(self.clock.now + 1)
-            if wall_obj is None:
-                self._stats.wall_blocks += 1
-                return blocked(waiting_for=WAIT_TIMEWALL)
-            # No pin: the distributed runtime never retires walls.
-            self._ro_walls[txn.txn_id] = wall_obj
         response = self._rpc(
             segment,
             "READ_C",
             {
                 "txn_id": txn.txn_id,
                 "granule": granule,
-                "component": wall_obj.component(segment),
+                "component": component,
             },
             txn_id=txn.txn_id,
         )
         if not txn.is_active:
             return self._killed(txn)
         return self._mirror_read(txn, granule, response)
+
+    def pin_wall(self, txn: Transaction, wall: TimeWall) -> TimeWall:
+        return wall  # no pin: the distributed runtime never retires walls
+
+    def unpin_wall(self, txn: Transaction, pinned: TimeWall) -> None:
+        pass
+
+    def _do_read(self, txn: Transaction, granule: GranuleId) -> Outcome:
+        if self.is_hdd:
+            return self.protocol.read(txn, granule)
+        refused = self.admit(txn)
+        if refused is not None:
+            return refused
+        return self._baseline_op(txn, "READ_B", {"granule": granule})
 
     def _mirror_read(
         self, txn: Transaction, granule: GranuleId, response: dict
@@ -1175,48 +928,32 @@ class DistributedRuntime:
         segment = self.partition.segment_of(payload["granule"])
         outcome = self._engine_op(txn, segment, kind, payload)
         if outcome.aborted and txn.is_active:
-            self._cleanup_abort(txn, outcome.reason or "TO rejection")
+            self.cleanup_abort(txn, outcome.reason or "TO rejection")
         return outcome
 
     def _do_write(
         self, txn: Transaction, granule: GranuleId, value: object
     ) -> Outcome:
-        if not txn.is_active:
-            return self._killed(txn)
-        doomed = self._wire_fence(txn)
-        if doomed is not None:
-            return doomed
+        if self.is_hdd:
+            return self.protocol.write(txn, granule, value)
+        refused = self.admit(txn)
+        if refused is not None:
+            return refused
         if txn.is_read_only:
             raise ProtocolViolation(
                 f"read-only txn {txn.txn_id} attempted a write"
             )
-        if not self.is_hdd:
-            return self._baseline_op(
-                txn, "WRITE", {"granule": granule, "value": value}
-            )
-        segment = self.partition.segment_of(granule)
-        if segment != txn.class_id:
-            raise ProtocolViolation(
-                f"txn {txn.txn_id} (class {txn.class_id!r}) may not "
-                f"write segment {segment!r}: updates stay in the root "
-                "segment"
-            )
-        outcome = self._engine_op(
-            txn, segment, "WRITE", {"granule": granule, "value": value}
+        return self._baseline_op(
+            txn, "WRITE", {"granule": granule, "value": value}
         )
-        if outcome.aborted and txn.is_active:
-            self._cleanup_abort(txn, outcome.reason or "protocol B rejection")
-        return outcome
 
     # ------------------------------------------------------------------
     # Commit / abort
     # ------------------------------------------------------------------
     def _do_commit(self, txn: Transaction) -> Outcome:
-        if not txn.is_active:
-            return self._killed(txn)
-        doomed = self._wire_fence(txn)
-        if doomed is not None:
-            return doomed
+        refused = self.admit(txn)
+        if refused is not None:
+            return refused
         if self._crash_capable() and not txn.is_read_only:
             veto = self._crash_fence(txn)
             if veto is not None:
@@ -1290,7 +1027,7 @@ class DistributedRuntime:
                 return self._killed(txn)
             if not response["known"] or response["inc"] != inc:
                 reason = f"node restart: {name} lost in-flight state"
-                self._cleanup_abort(txn, reason)
+                self.cleanup_abort(txn, reason)
                 return aborted(reason)
         return None
 
@@ -1298,10 +1035,10 @@ class DistributedRuntime:
         if not txn.is_active:
             return  # a background fence already finished the job
         start_tick = self._span_open()
-        self._cleanup_abort(txn, reason)
+        self.cleanup_abort(txn, reason)
         self._span_close("abort", txn.txn_id, start_tick, "aborted")
 
-    def _cleanup_abort(
+    def cleanup_abort(
         self, txn: Transaction, reason: str, background: bool = False
     ) -> None:
         abort_ts = self._finish_abort(txn, reason)
@@ -1344,9 +1081,8 @@ class DistributedRuntime:
             self.poll_walls(txn.txn_id)
 
     def _forget(self, txn: Transaction) -> None:
-        self._ro_segments.pop(txn.txn_id, None)
-        self._ro_walls.pop(txn.txn_id, None)
-        self._a_wall_cache.pop(txn.txn_id, None)
+        if self.is_hdd:
+            self.protocol.forget(txn)
         self._txn_touch.pop(txn.txn_id, None)
 
     # ------------------------------------------------------------------
@@ -1459,7 +1195,7 @@ class DistributedRuntime:
                 )
 
     # ------------------------------------------------------------------
-    # Introspection (BaseScheduler surface)
+    # Introspection
     # ------------------------------------------------------------------
     @property
     def stats(self) -> SchedulerStats:
@@ -1482,11 +1218,11 @@ class DistributedRuntime:
                 )
         return merged
 
-    def committed_transactions(self) -> list[Transaction]:
-        return [t for t in self.transactions.values() if t.is_committed]
-
-    def active_transactions(self) -> list[Transaction]:
-        return [t for t in self._active.values() if t.is_active]
+    @stats.setter
+    def stats(self, own: SchedulerStats) -> None:
+        # ``BaseScheduler.__init__`` assigns the counters its funnels
+        # increment; here those are the coordinator's own share.
+        self._stats = own
 
     # ------------------------------------------------------------------
     # Shutdown

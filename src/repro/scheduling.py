@@ -156,6 +156,9 @@ class BaseScheduler(abc.ABC):
 
     #: Human-readable algorithm name (used in reports and benchmarks).
     name: str = "base"
+    #: The HDD access-rule core (:class:`repro.core.protocol.HDDProtocol`)
+    #: of schedulers that host one; ``None`` for every baseline.
+    protocol = None
 
     def __init__(
         self,
@@ -165,7 +168,10 @@ class BaseScheduler(abc.ABC):
         self.store = store if store is not None else MultiVersionStore()
         self.clock = clock if clock is not None else LogicalClock()
         self.schedule = Schedule()
-        self.stats = SchedulerStats()
+        #: ``_stats`` is what this object's funnels increment, ``stats``
+        #: what observers read: one object, except that the distributed
+        #: coordinator publishes a view merged with its nodes' counters.
+        self._stats = self.stats = SchedulerStats()
         self.transactions: dict[int, Transaction] = {}
         #: Index of transactions still active — kept so hot paths that
         #: iterate active transactions (GC watermarks, deadlock checks)
@@ -211,16 +217,6 @@ class BaseScheduler(abc.ABC):
     def sink(self) -> Optional[EventSink]:
         return self._sink
 
-    def _txn_class(self, txn: Transaction) -> Optional[str]:
-        """The class label events carry (the root segment where known)."""
-        return txn.class_id
-
-    def _protocol_used(
-        self, txn: Transaction, granule: GranuleId, op: str
-    ) -> Optional[str]:
-        """HDD's A/B/C dispatch tag for a granted access; None elsewhere."""
-        return None
-
     def _emit_access(
         self, op: str, txn: Transaction, granule: GranuleId, outcome: Outcome
     ) -> None:
@@ -228,15 +224,17 @@ class BaseScheduler(abc.ABC):
         assert sink is not None
         if outcome.granted:
             cls = ReadEvent if op == "read" else WriteEvent
+            # HDD's A/B/C dispatch tag, where a protocol core routes.
+            core = self.protocol
             sink.emit(
                 cls(
                     step=self.current_step,
                     ts=self.clock.now,
                     txn_id=txn.txn_id,
-                    txn_class=self._txn_class(txn),
+                    txn_class=txn.class_id,
                     granule=granule,
                     version_ts=outcome.version_ts,
-                    protocol=self._protocol_used(txn, granule, op),
+                    protocol=core and core.protocol_tag(txn, granule, op),
                 )
             )
         elif outcome.blocked:
@@ -245,7 +243,7 @@ class BaseScheduler(abc.ABC):
                     step=self.current_step,
                     ts=self.clock.now,
                     txn_id=txn.txn_id,
-                    txn_class=self._txn_class(txn),
+                    txn_class=txn.class_id,
                     op=op,
                     granule=granule,
                     wait_target=outcome.waiting_for,
@@ -275,14 +273,14 @@ class BaseScheduler(abc.ABC):
         txn = self._make_transaction(txn_id, initiation_ts, kind, profile)
         self.transactions[txn_id] = txn
         self._active[txn_id] = txn
-        self.stats.begins += 1
+        self._stats.begins += 1
         if self._sink is not None:
             self._sink.emit(
                 BeginEvent(
                     step=self.current_step,
                     ts=initiation_ts,
                     txn_id=txn_id,
-                    txn_class=self._txn_class(txn),
+                    txn_class=txn.class_id,
                     read_only=read_only,
                     profile=profile,
                 )
@@ -329,7 +327,7 @@ class BaseScheduler(abc.ABC):
                     step=self.current_step,
                     ts=self.clock.now,
                     txn_id=txn.txn_id,
-                    txn_class=self._txn_class(txn),
+                    txn_class=txn.class_id,
                     op="commit",
                     granule=None,
                     wait_target=outcome.waiting_for,
@@ -372,14 +370,14 @@ class BaseScheduler(abc.ABC):
         txn.mark_committed(commit_ts)
         self._active.pop(txn.txn_id, None)
         self.schedule.record_commit(txn.txn_id)
-        self.stats.commits += 1
+        self._stats.commits += 1
         if self._sink is not None:
             self._sink.emit(
                 CommittedEvent(
                     step=self.current_step,
                     ts=commit_ts,
                     txn_id=txn.txn_id,
-                    txn_class=self._txn_class(txn),
+                    txn_class=txn.class_id,
                 )
             )
         return commit_ts
@@ -389,14 +387,14 @@ class BaseScheduler(abc.ABC):
         txn.mark_aborted(abort_ts, reason)
         self._active.pop(txn.txn_id, None)
         self.schedule.record_abort(txn.txn_id)
-        self.stats.count_abort(reason)
+        self._stats.count_abort(reason)
         if self._sink is not None:
             self._sink.emit(
                 AbortedEvent(
                     step=self.current_step,
                     ts=abort_ts,
                     txn_id=txn.txn_id,
-                    txn_class=self._txn_class(txn),
+                    txn_class=txn.class_id,
                     reason=reason,
                 )
             )

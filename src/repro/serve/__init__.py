@@ -1,9 +1,9 @@
 """``repro serve``: the asyncio transaction server and its clients.
 
-The third driver of :class:`~repro.scheduling.BaseScheduler` (after the
-simulator and the distributed runtime): real concurrent clients speak a
-length-prefixed JSON protocol to a :class:`TransactionServer`, whose
-single-writer gate keeps duck-typed schedulers race-free while HDD
+A driver of :class:`~repro.scheduling.BaseScheduler` (after the
+simulator): real concurrent clients speak a length-prefixed JSON
+protocol to a :class:`TransactionServer`, whose single-writer gate
+keeps any scheduler race-free while HDD
 Protocol A/C reads bypass the gate entirely — the serveable form of the
 paper's "read-only transactions set no locks" claim (DESIGN.md §14).
 """

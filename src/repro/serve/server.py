@@ -1,9 +1,10 @@
-"""The asyncio transaction server: the third driver of ``BaseScheduler``.
+"""The asyncio transaction server: a second driver of ``BaseScheduler``.
 
-After the simulator (:mod:`repro.sim.engine`) and the distributed
-runtime (:mod:`repro.dist`), this module drives any duck-typed scheduler
-from *real concurrent clients* over a framed request/response protocol
-(:mod:`repro.serve.protocol`), with per-connection pipelining.
+After the simulator (:mod:`repro.sim.engine`), this module drives any
+:class:`~repro.scheduling.BaseScheduler` — a monolithic scheduler or
+the distributed runtime — from *real concurrent clients* over a framed
+request/response protocol (:mod:`repro.serve.protocol`), with
+per-connection pipelining.
 
 Concurrency model — the **single-writer gate**:
 
@@ -12,8 +13,8 @@ tracker, version installs) is guarded by one ``asyncio.Lock``.  Every
 state-mutating request — begin, write, commit, abort, and any read that
 registers itself (2PL read locks, TO read timestamps, HDD Protocol B)
 — runs inside the gate, so requests from different connections are
-applied one at a time and duck-typed schedulers stay race-free without
-knowing they are being served.
+applied one at a time and schedulers stay race-free without knowing
+they are being served.
 
 The measurable exception is the paper's whole point: **HDD Protocol A
 and Protocol C reads never enter the gate.**  A Protocol C reader pins
@@ -22,10 +23,11 @@ reader reads below its activity-link wall.  Both resolve through
 :meth:`VersionChain.latest_before` against versions that are *final* —
 released wall components only ever expose settled prefixes (Theorem 1),
 so no concurrent writer, even one mid-commit inside the gate, can
-change the answer.  The server detects the dispatch (read-only
-transaction, or an update transaction reading a strictly-higher
-segment) and calls the scheduler's read directly, bypassing the gate
-queue entirely.  ``ServeStats.gate_free_reads`` counts them;
+change the answer.  The server asks the scheduler's protocol core
+(:meth:`repro.core.protocol.HDDProtocol.is_wall_read`) whether the
+access rule routes the read below a wall and, if so, calls the
+scheduler's read directly, bypassing the gate queue entirely.
+``ServeStats.gate_free_reads`` counts them;
 ``ServeStats.gated_reads`` counts the reads that did pay the gate — the
 ratio is the serve-path form of the paper's "no read locks, no read
 timestamps" claim, and the tests cross-check the counter against the
@@ -145,7 +147,7 @@ class TransactionServer:
     ----------
     scheduler:
         Any :class:`~repro.scheduling.BaseScheduler` (HDD, a baseline,
-        or the distributed runtime — the server only duck-types).
+        or the distributed runtime).
     gc_every:
         Run the scheduler's garbage collector (where it has one) every
         this many requests, inside the gate.  ``None`` never collects.
@@ -498,27 +500,13 @@ class TransactionServer:
     def _gate_free_read(self, txn, granule: str) -> bool:
         """Is this read an HDD Protocol A / fictitious-A / C dispatch?
 
-        Mirrors :meth:`HDDScheduler._do_read`'s dispatch without running
-        it, duck-typed so baselines (no ``walls``) always gate.  Every
-        read-only read is wall-based (fictitious-class Protocol A or
-        Protocol C); an update transaction's read of a strictly-higher
-        segment is Protocol A.  Same-class reads are Protocol B — those
-        register timestamps and must gate.
+        Asked of the scheduler's protocol core, so a read the access
+        rule rejects (or a granule it cannot place) is gated like any
+        other failing request.  Protocol B reads register timestamps
+        and must gate, as must every read of a baseline (no core).
         """
-        scheduler = self.scheduler
-        partition = getattr(scheduler, "partition", None)
-        if partition is None or not hasattr(scheduler, "walls"):
-            return False
-        if txn.is_read_only:
-            return True
-        class_id = getattr(txn, "class_id", None)
-        if class_id is None:
-            return False
-        try:
-            segment = partition.segment_of(granule)
-        except Exception:
-            return False
-        return segment != class_id and partition.is_higher(segment, class_id)
+        protocol = self.scheduler.protocol
+        return protocol is not None and protocol.is_wall_read(txn, granule)
 
     async def _run_gated(self, fn: Callable[[], Outcome], txn) -> Outcome:
         return await self._run_op(fn, txn, gated=True)
@@ -629,10 +617,7 @@ class TransactionServer:
 
     def _wall_count(self) -> int:
         walls = getattr(self.scheduler, "walls", None)
-        if walls is None:
-            return 0
-        count = getattr(walls, "total_released", None)
-        return len(walls.released) if count is None else count
+        return 0 if walls is None else walls.total_released
 
     def _bump_progress(self) -> None:
         future = self._progress

@@ -230,7 +230,7 @@ class Simulator:
         self._result.backlog = len(self._pending)
         walls = getattr(self.scheduler, "walls", None)
         if walls is not None:
-            self._result.wall_releases = self._wall_release_count(walls)
+            self._result.wall_releases = walls.total_released
             self._result.retained_walls = len(walls.released)
         self._result.retained_versions = self.scheduler.store.total_versions()
         # Audit with the full Bernstein–Goodman MVSG: it subsumes the
@@ -674,17 +674,6 @@ class Simulator:
             poll()
             self._check_walls()
 
-    @staticmethod
-    def _wall_release_count(walls) -> int:
-        """Releases so far: the monotonic counter, never ``len(released)``
-        — retirement shrinks the list, which would mask a release (a
-        retire-then-release step leaves the length unchanged) and leave
-        blocked clients asleep forever."""
-        count = getattr(walls, "total_released", None)
-        if count is None:  # schedulers with a foreign wall manager
-            count = len(walls.released)
-        return count
-
     def _run_gc(self) -> None:
         collect = getattr(self.scheduler, "collect_garbage", None)
         if collect is None:
@@ -708,7 +697,11 @@ class Simulator:
         walls = getattr(self.scheduler, "walls", None)
         if walls is None:
             return
-        count = self._wall_release_count(walls)
+        # The monotonic counter, never ``len(released)`` — retirement
+        # shrinks the list, which would mask a release (a
+        # retire-then-release step leaves the length unchanged) and
+        # leave blocked clients asleep forever.
+        count = walls.total_released
         if count != self._wall_count:
             self._wall_count = count
             self._bump_epoch()

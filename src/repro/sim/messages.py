@@ -121,8 +121,7 @@ def message_report(
         # bookkeeping and un-sends nothing, so price every release ever
         # (the monotonic counter), not just the walls still live.
         components = len(walls.released[-1].components)
-        releases = getattr(walls, "total_released", len(walls.released))
-        report.wall_broadcast_messages = components * releases
+        report.wall_broadcast_messages = components * walls.total_released
     return report
 
 

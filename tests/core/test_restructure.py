@@ -89,6 +89,22 @@ class TestLiveRestructure:
         assert s.commit(live).granted
         assert is_serializable(s.schedule)
 
+    def test_in_flight_declared_reader_is_rerouted(self):
+        """A declared-path reader's segments are renamed through the
+        merge and its route re-decided: reads of a merged-away segment
+        stay legal and use walls from below the *merged* class."""
+        s = RestructuringHDDScheduler(build_inventory_partition())
+        reader = s.begin(profile="level_check", read_only=True)
+        assert s.read(reader, "inventory:i1").granted
+        s.run_adhoc_profile(
+            "fixer", writes=["events", "inventory"], reads=[]
+        )
+        assert s.protocol.ro_segments[reader.txn_id] == {"events"}
+        assert s.protocol.ro_bottom[reader.txn_id] == "events"
+        assert s.read(reader, "inventory:i1").granted
+        assert s.commit(reader).granted
+        assert is_serializable(s.schedule)
+
     def test_existing_profiles_still_work(self):
         s = RestructuringHDDScheduler(build_inventory_partition())
         s.run_adhoc_profile(

@@ -1,15 +1,31 @@
-"""Tests for the HDD scheduler's Protocols A and B (§4.2)."""
+"""Tests for the HDD scheduler's Protocols A and B (§4.2).
+
+``TestProtocolA`` and ``TestProtocolViolations`` build their scheduler
+through a ``host`` class attribute; the ``...Dist`` subclasses re-run
+every case against the distributed binding of the same protocol core.
+"""
 
 import pytest
 
 from repro.core.scheduler import HDDScheduler
+from repro.dist import DistributedRuntime
 from repro.errors import ProtocolViolation
+from repro.obs.events import MemorySink, ReadEvent
+from repro.serve import TransactionServer
+from repro.sim.hierarchies import chain_partition, star_partition
+from repro.sim.inventory import build_inventory_partition
 from repro.txn.depgraph import is_serializable
 
 
+def dist_hdd(partition):
+    return DistributedRuntime(partition, mode="hdd")
+
+
 class TestProtocolA:
+    host = staticmethod(HDDScheduler)
+
     def test_cross_class_read_unregistered(self, chain3_partition):
-        s = HDDScheduler(chain3_partition)
+        s = self.host(chain3_partition)
         writer = s.begin(profile="w_top")
         s.write(writer, "top:g", 7)
         s.commit(writer)
@@ -24,7 +40,7 @@ class TestProtocolA:
     def test_wall_hides_concurrent_writer(self, chain3_partition):
         """A top-class transaction active at the reader's initiation is
         invisible even after it commits: the wall froze the snapshot."""
-        s = HDDScheduler(chain3_partition)
+        s = self.host(chain3_partition)
         writer = s.begin(profile="w_top")
         s.write(writer, "top:g", 99)
         reader = s.begin(profile="w_mid")  # writer still active here
@@ -37,7 +53,7 @@ class TestProtocolA:
         assert is_serializable(s.schedule)
 
     def test_wall_exposes_pre_initiation_commit(self, chain3_partition):
-        s = HDDScheduler(chain3_partition)
+        s = self.host(chain3_partition)
         writer = s.begin(profile="w_top")
         s.write(writer, "top:g", 99)
         s.commit(writer)
@@ -47,7 +63,7 @@ class TestProtocolA:
     def test_wall_stable_within_transaction(self, chain3_partition):
         """Repeated reads of the same segment use the same wall: a commit
         between two reads does not change what the reader sees."""
-        s = HDDScheduler(chain3_partition)
+        s = self.host(chain3_partition)
         reader = s.begin(profile="w_mid")
         first = s.read(reader, "top:g")
         writer = s.begin(profile="w_top")
@@ -59,7 +75,7 @@ class TestProtocolA:
     def test_two_hop_wall(self, chain3_partition):
         """bottom reading top goes through A_bottom^top = I_old composed
         along bottom -> mid -> top."""
-        s = HDDScheduler(chain3_partition)
+        s = self.host(chain3_partition)
         top_writer = s.begin(profile="w_top")
         s.write(top_writer, "top:g", 1)
         s.commit(top_writer)
@@ -78,13 +94,17 @@ class TestProtocolA:
         assert is_serializable(s.schedule)
 
     def test_protocol_a_never_blocks(self, chain3_partition):
-        s = HDDScheduler(chain3_partition)
+        s = self.host(chain3_partition)
         writer = s.begin(profile="w_top")
         s.write(writer, "top:g", 99)  # uncommitted
         reader = s.begin(profile="w_mid")
         outcome = s.read(reader, "top:g")
         assert outcome.granted  # never blocked, never rejected
         assert s.stats.read_blocks == 0
+
+
+class TestProtocolADist(TestProtocolA):
+    host = staticmethod(dist_hdd)
 
 
 class TestProtocolB:
@@ -157,44 +177,123 @@ class TestProtocolB:
 
 
 class TestProtocolViolations:
+    host = staticmethod(HDDScheduler)
+
     def test_update_requires_profile(self, chain3_partition):
-        s = HDDScheduler(chain3_partition)
+        s = self.host(chain3_partition)
         with pytest.raises(ProtocolViolation):
             s.begin()
 
     def test_write_outside_root_rejected(self, chain3_partition):
-        s = HDDScheduler(chain3_partition)
+        s = self.host(chain3_partition)
         t = s.begin(profile="w_mid")
         with pytest.raises(ProtocolViolation):
             s.write(t, "top:g", 1)
 
     def test_read_below_root_rejected(self, chain3_partition):
-        s = HDDScheduler(chain3_partition)
+        s = self.host(chain3_partition)
         t = s.begin(profile="w_mid")
         with pytest.raises(ProtocolViolation):
             s.read(t, "bottom:g")
 
     def test_read_only_cannot_write(self, chain3_partition):
-        s = HDDScheduler(chain3_partition)
+        s = self.host(chain3_partition)
         t = s.begin(profile="scan", read_only=True)
         with pytest.raises(ProtocolViolation):
             s.write(t, "top:g", 1)
 
     def test_read_only_profile_as_update_rejected(self, chain3_partition):
-        s = HDDScheduler(chain3_partition)
+        s = self.host(chain3_partition)
         with pytest.raises(ProtocolViolation):
             s.begin(profile="scan")
 
     def test_update_profile_as_read_only_rejected(self, chain3_partition):
-        s = HDDScheduler(chain3_partition)
+        s = self.host(chain3_partition)
         with pytest.raises(ProtocolViolation):
             s.begin(profile="w_top", read_only=True)
 
     def test_read_outside_declared_ro_segments(self, fork_partition):
-        s = HDDScheduler(fork_partition)
+        s = self.host(fork_partition)
         t = s.begin(profile="cross", read_only=True)
         with pytest.raises(ProtocolViolation):
             s.read(t, "top:g")
+
+
+class TestProtocolViolationsDist(TestProtocolViolations):
+    host = staticmethod(dist_hdd)
+
+
+#: The access rule as a table: partition -> rows of ``(profile,
+#: read_only, segment read, protocol)`` with ``None`` for a read the
+#: rule rejects.  ``profile=None`` is an undeclared read-only reader.
+ROUTES = {
+    "chain": [
+        ("update_L1", False, "L0", "A"),
+        ("update_L1", False, "L1", "B"),
+        ("update_L1", False, "L2", None),
+        ("update_L2", False, "L0", "A"),  # two hops
+        ("update_L2", False, "L2", "B"),
+        ("scan_all", True, "L1", "A"),  # one path: fictitious class
+        (None, True, "L0", "C"),
+    ],
+    "fork": [
+        ("w_left", False, "top", "A"),
+        ("w_left", False, "left", "B"),
+        ("w_left", False, "right", None),
+        ("w_top", False, "left", None),
+        ("cross", True, "left", "C"),  # left/right: two paths
+        ("cross", True, "top", None),  # outside the declared set
+    ],
+    "star": [
+        ("update_leaf0", False, "hub", "A"),
+        ("update_leaf0", False, "leaf0", "B"),
+        ("update_leaf0", False, "leaf1", None),
+        ("update_hub", False, "leaf1", None),
+        ("scan_all", True, "hub", "C"),  # leaves lie on two paths
+        (None, True, "leaf1", "C"),
+    ],
+    "inventory": [
+        ("type2_post_inventory", False, "events", "A"),
+        ("type2_post_inventory", False, "inventory", "B"),
+        ("type2_post_inventory", False, "orders", None),
+        ("type3_reorder", False, "events", "A"),
+        ("report", True, "orders", "A"),
+        ("level_check", True, "inventory", "A"),
+        ("level_check", True, "orders", None),
+        (None, True, "orders", "C"),
+    ],
+}
+
+PARTITIONS = {
+    "chain": lambda request: chain_partition(3),
+    "fork": lambda request: request.getfixturevalue("fork_partition"),
+    "star": lambda request: star_partition(2),
+    "inventory": lambda request: build_inventory_partition(),
+}
+
+
+@pytest.mark.parametrize("make_host", [HDDScheduler, dist_hdd])
+@pytest.mark.parametrize("shape", sorted(ROUTES))
+def test_routing_table(request, shape, make_host):
+    """One rule, three askers: the traced ``ReadEvent.protocol`` of the
+    host and the server's gate decision both equal the table's entry."""
+    for profile, read_only, segment, expected in ROUTES[shape]:
+        host = make_host(PARTITIONS[shape](request))
+        sink = MemorySink()
+        host.set_sink(sink)
+        server = TransactionServer(host)
+        txn = host.begin(profile=profile, read_only=read_only)
+        granule = f"{segment}:g0"
+        case = (shape, profile, segment)
+        gate_free = server._gate_free_read(txn, granule)
+        assert gate_free == (expected in ("A", "C")), case
+        if expected is None:
+            with pytest.raises(ProtocolViolation):
+                host.read(txn, granule)
+            continue
+        assert host.read(txn, granule).granted, case
+        tags = [e.protocol for e in sink.events if isinstance(e, ReadEvent)]
+        assert tags == [expected], case
 
 
 class TestAbortCleanup:

@@ -20,7 +20,7 @@ class TestFictitiousClassPath:
         assert outcome.granted and outcome.value == 3
         assert s.stats.read_registrations == 0
         # The fictitious path never consults released time walls.
-        assert ro.txn_id not in s._ro_walls
+        assert ro.txn_id not in s.protocol.pinned
 
     def test_never_blocks(self, chain3_partition):
         s = HDDScheduler(chain3_partition)
@@ -66,7 +66,7 @@ class TestProtocolC:
         ro = s.begin(read_only=True)  # no profile: ad-hoc, Protocol C
         outcome = s.read(ro, "left:g")
         assert outcome.granted
-        assert ro.txn_id in s._ro_walls
+        assert ro.txn_id in s.protocol.pinned
 
     def test_cross_branch_consistency(self, fork_partition):
         """A Protocol C reader over both branches sees a wall-consistent
@@ -90,14 +90,14 @@ class TestProtocolC:
         s = HDDScheduler(fork_partition, wall_interval=1)
         ro = s.begin(profile="cross", read_only=True)
         s.read(ro, "left:g")
-        pinned = s._ro_walls[ro.txn_id]
+        pinned = s.protocol.pinned[ro.txn_id]
         # Generate newer walls.
         for _ in range(5):
             w = s.begin(profile="w_left")
             s.write(w, "left:g", 9)
             s.commit(w)
         s.read(ro, "right:g")
-        assert s._ro_walls[ro.txn_id] is pinned
+        assert s.protocol.pinned[ro.txn_id] is pinned
 
     def test_first_wall_releases_at_first_begin(self, fork_partition):
         """The begin-time poll releases a wall immediately on a fresh

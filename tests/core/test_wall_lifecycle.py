@@ -192,8 +192,8 @@ class TestSchedulerRetirement:
         assert candidate in s.walls.released
         # The late first read pins exactly that wall.
         s.read(ro, "left:g")
-        assert s._ro_walls[ro.txn_id].wall is candidate
-        assert s._ro_walls[ro.txn_id].component("left") == expected
+        assert s.protocol.pinned[ro.txn_id].wall is candidate
+        assert s.protocol.pinned[ro.txn_id].component("left") == expected
 
     def test_watermarks_ignore_retired_walls(self, fork_partition):
         """After retirement the watermark is clamped by live walls only,
@@ -214,6 +214,6 @@ class TestSchedulerRetirement:
         churn(s, "w_top", "top:g", 1)
         t = s.begin(profile="w_left")
         s.read(t, "top:g")
-        assert t.txn_id in s._a_wall_cache
+        assert t.txn_id in s.protocol.a_walls
         s.commit(t)
-        assert t.txn_id not in s._a_wall_cache
+        assert t.txn_id not in s.protocol.a_walls

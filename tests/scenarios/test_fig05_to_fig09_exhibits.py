@@ -102,10 +102,10 @@ class TestFigure8:
         scheduler.commit(writer)
         t1 = scheduler.begin(profile="t1", read_only=True)
         assert scheduler.read(t1, "left:g").granted
-        assert t1.txn_id not in scheduler._ro_walls  # fictitious path
+        assert t1.txn_id not in scheduler.protocol.pinned  # fictitious path
         t2 = scheduler.begin(profile="t2", read_only=True)
         assert scheduler.read(t2, "left:g").granted
-        assert t2.txn_id in scheduler._ro_walls  # Protocol C
+        assert t2.txn_id in scheduler.protocol.pinned  # Protocol C
         scheduler.commit(t1)
         scheduler.commit(t2)
         assert scheduler.stats.read_registrations == 0

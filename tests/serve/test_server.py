@@ -170,6 +170,38 @@ class TestProtocolErrors:
         assert commit["status"] == "granted"
         assert server.stats.protocol_errors == 2
 
+    def test_rejected_read_is_gated_and_counters_reconcile(self):
+        """A read the access rule rejects (outside the declared set) or
+        cannot place (unknown segment) is not a Protocol A/C dispatch:
+        it pays the gate, so ``gate_free_reads`` keeps reconciling with
+        the scheduler's ``unregistered_reads`` after a violation."""
+
+        async def go():
+            partition, _ = _build_workload(ro_share=0.6, skew=3.0)
+            scheduler = SCHEDULER_FACTORIES["hdd"](partition)
+            server = TransactionServer(scheduler)
+            client = ServeClient.connect_memory(server)
+            try:
+                txn = await client.begin(profile="level_check", read_only=True)
+                undeclared = await client.read(txn, "orders:g0")
+                unplaced = await client.read(txn, "nowhere:g0")
+                legal = await client.read(txn, "events:g0")
+                return server, scheduler, undeclared, unplaced, legal
+            finally:
+                await client.close()
+                await server.close()
+
+        server, scheduler, undeclared, unplaced, legal = asyncio.run(go())
+        assert undeclared["status"] == "error"
+        assert "ProtocolViolation" in undeclared["error"]
+        assert unplaced["status"] == "error"
+        assert legal["status"] == "granted"
+        assert server.stats.gated_reads == 2
+        assert server.stats.gate_free_reads == 1
+        assert (
+            server.stats.gate_free_reads == scheduler.stats.unregistered_reads
+        )
+
     def test_stats_op_merges_server_and_scheduler_counters(self):
         async def go():
             partition, workload = _build_workload(ro_share=0.6, skew=3.0)
