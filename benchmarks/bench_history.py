@@ -16,8 +16,11 @@ it can also be run locally: ``python benchmarks/bench_history.py``.
 
 Validation is deliberately minimal — a JSON object with a non-empty
 ``bench`` name, the per-file headline paths present with the right
-types, and at least one numeric leaf.  Benches stay free to grow new
-fields without touching this file.
+types, at least one numeric leaf, and the few cross-field invariants a
+wrong artifact has broken before (a latency summary's ``samples`` must
+equal the cell's commit count; the ideal-plan dist wire must carry
+fewer sends than the eager one).  Benches stay free to grow new fields
+without touching this file.
 """
 
 import json
@@ -56,7 +59,7 @@ REQUIRED = {
         "commits": int,
         "hdd.ratios.total": (int, float),
         "hdd.wire_sends": int,
-        "hdd-batched.wire_sends": int,
+        "hdd-latency1.wire_sends": int,
     },
     "BENCH_serve_throughput.json": {
         "bench": str,
@@ -147,6 +150,43 @@ def validate(path, spec):
     return problems
 
 
+def _serve_cells(data):
+    for sweep in ("connection_sweep", "read_ratio_sweep"):
+        for cells in data.get(sweep, {}).values():
+            yield from cells
+
+
+def cross_field_problems(name, data):
+    """Invariants *between* fields: a file can carry every required key
+    with the right type and still contradict itself."""
+    problems = []
+    if name == "BENCH_serve_throughput.json":
+        for cell in _serve_cells(data):
+            where = (
+                f"{cell.get('scheduler')} conns={cell.get('connections')} "
+                f"ro_share={cell.get('ro_share')}"
+            )
+            for summary, count in (
+                ("latency_ms", "commits"),
+                ("ro_latency_ms", "ro_commits"),
+            ):
+                samples = cell.get(summary, {}).get("samples")
+                if samples != cell.get(count):
+                    problems.append(
+                        f"{name}: {where}: {summary}.samples is "
+                        f"{samples}, expected {count} = {cell.get(count)}"
+                    )
+    if name == "BENCH_dist_messages.json":
+        ideal = data["hdd"]["wire_sends"]
+        eager = data["hdd-latency1"]["wire_sends"]
+        if not ideal < eager:
+            problems.append(
+                f"{name}: ideal-plan wire_sends {ideal} is not below "
+                f"the eager (latency 1) wire's {eager}"
+            )
+    return problems
+
+
 def headline(name, data):
     """One quotable line per bench for the trajectory table."""
     if name == "BENCH_read_path.json":
@@ -181,13 +221,12 @@ def headline(name, data):
             f"{data['protocol_errors']}"
         )
     if name == "BENCH_dist_messages.json":
-        eager = data["hdd"]["wire_sends"]
-        batched = data["hdd-batched"]["wire_sends"]
-        saved = 100.0 * (eager - batched) / eager if eager else 0.0
+        ideal = data["hdd"]["wire_sends"]
+        eager = data["hdd-latency1"]["wire_sends"]
         return (
             f"sync ratio {data['hdd']['ratios']['total']:.3f} vs "
-            f"analytic, gossip batching {eager} -> {batched} sends "
-            f"(-{saved:.0f}%)"
+            f"analytic, ideal-plan wire {ideal} sends vs {eager} eager "
+            f"at latency 1"
         )
     if name == "BENCH_multicore.json":
         return (
@@ -217,6 +256,9 @@ def main():
         problems.extend(file_problems)
         if not file_problems:
             data = json.loads(path.read_text())
+            file_problems = cross_field_problems(name, data)
+            problems.extend(file_problems)
+        if not file_problems:
             rows.append((data["bench"], headline(name, data)))
     # Unexpected BENCH files are a trajectory change too: either
     # register them here or they rot unvalidated.

@@ -17,10 +17,12 @@ timestamp baselines on *total* priced traffic — chiefly because a
 transaction's writes all land on its class's one controller (commit
 fan-out 1 node) where the baselines finalize at every touched segment.
 
-An ``hdd-batched`` section runs the same scenario with coalesced
-gossip batching (``batch_gossip=True``) and pins the optimisation's
-claim: the committed execution is unchanged while the wire carries at
-least 30% fewer messages.
+Sections are keyed by plan, because the plan chooses the wire: every
+mode runs on the ideal plan (where HDD speaks the coalesced, governed
+wire and sends no WALL broadcast), and ``hdd-latency1`` runs HDD on a
+lossless ``FaultPlan(latency=1)`` — the eager wire, with the paper's
+per-segment wall distribution on it.  The ideal-plan wire must carry at
+least 30% fewer messages for the same number of commits.
 """
 
 import json
@@ -41,15 +43,17 @@ COMMITS = 300
 MODES = ["hdd", "hdd-to", "to", "mvto"]
 
 
-def run_dist(mode: str, batch_gossip: bool = False):
+#: The lossless non-ideal plan whose wire the ideal plan's is compared
+#: against (any latency >= 1 keeps the eager wire).
+EAGER_PLAN = FaultPlan(latency=1)
+
+
+def run_dist(mode: str, plan: FaultPlan = FaultPlan()):
     partition = build_inventory_partition()
     workload = build_inventory_workload(
         partition, read_only_share=0.25, skew=1.0
     )
-    runtime = DistributedRuntime(
-        partition, mode=mode, plan=FaultPlan(), seed=0,
-        batch_gossip=batch_gossip,
-    )
+    runtime = DistributedRuntime(partition, mode=mode, plan=plan, seed=0)
     result = Simulator(
         runtime,
         workload,
@@ -81,8 +85,8 @@ def ratio(measured: int, analytic: int) -> float:
     return round(measured / analytic, 3)
 
 
-def section_for(mode: str, batch_gossip: bool = False) -> dict:
-    partition, runtime, result = run_dist(mode, batch_gossip=batch_gossip)
+def section_for(mode: str, plan: FaultPlan = FaultPlan()) -> dict:
+    partition, runtime, result = run_dist(mode, plan)
     analytic = message_report(runtime, partition.segment_of)
     measured, extras = measured_message_report(runtime)
     return {
@@ -104,9 +108,7 @@ def section_for(mode: str, batch_gossip: bool = False) -> dict:
 def test_analytic_vs_measured_messages(benchmark, show):
     def run_all():
         sections = {mode: section_for(mode) for mode in MODES}
-        # Same scenario with coalesced gossip batching: identical
-        # committed execution, fewer messages on the wire.
-        sections["hdd-batched"] = section_for("hdd", batch_gossip=True)
+        sections["hdd-latency1"] = section_for("hdd", EAGER_PLAN)
         return sections
 
     sections = benchmark.pedantic(run_all, rounds=1, iterations=1)
@@ -154,18 +156,18 @@ def test_analytic_vs_measured_messages(benchmark, show):
             sections["hdd"]["measured"]["commit_fanout"]
             < sections[baseline]["measured"]["commit_fanout"]
         )
-    # And the one category HDD adds is actually on the wire.
-    assert sections["hdd"]["measured"]["wall_broadcast"] > 0
-    # Coalesced gossip batching: the committed execution is unchanged
-    # (same commits, same granted-op traffic) while the wire carries at
-    # least 30% fewer messages — gossip ships batched per link, the
-    # governor skips provably no-op polls, and the dead WALL broadcast
-    # is gone entirely.
-    eager, batched = sections["hdd"], sections["hdd-batched"]
-    assert batched["commits"] == eager["commits"]
-    assert batched["measured"]["data"] == eager["measured"]["data"]
-    assert batched["measured"]["wall_broadcast"] == 0
-    assert batched["wire_sends"] <= 0.7 * eager["wire_sends"], (
-        batched["wire_sends"],
+    # The ideal plan's wire against the eager one: as many commits, the
+    # dead WALL broadcast gone entirely (the one category HDD adds is
+    # on the eager wire only), and at least 30% fewer messages — gossip
+    # ships coalesced per link and the governor skips provably no-op
+    # polls.
+    ideal, eager = sections["hdd"], sections["hdd-latency1"]
+    assert ideal["commits"] == eager["commits"]
+    assert ideal["measured"]["wall_broadcast"] == 0
+    assert eager["measured"]["wall_broadcast"] > 0
+    assert ideal["runtime_overhead"]["polls_skipped"] > 0
+    assert "polls_skipped" not in eager["runtime_overhead"]
+    assert ideal["wire_sends"] <= 0.7 * eager["wire_sends"], (
+        ideal["wire_sends"],
         eager["wire_sends"],
     )

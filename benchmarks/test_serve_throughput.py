@@ -80,9 +80,17 @@ async def _run_cell(
         "protocol_errors": report.server["protocol_errors"],
         "ro_goodput_per_kstep": round(1000 * report.ro_commits / steps, 2),
         "throughput_txn_per_s": round(report.throughput, 1),
-        "latency_ms": {k: round(v * 1000, 3) for k, v in lat.items()},
-        "ro_latency_ms": {k: round(v * 1000, 3) for k, v in ro_lat.items()},
+        "latency_ms": _in_ms(lat),
+        "ro_latency_ms": _in_ms(ro_lat),
         "serializable": serializable,
+    }
+
+
+def _in_ms(summary: dict[str, float]) -> dict[str, float]:
+    """A latency summary in milliseconds; ``samples`` is a count."""
+    return {
+        key: value if key == "samples" else round(value * 1000, 3)
+        for key, value in summary.items()
     }
 
 

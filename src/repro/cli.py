@@ -378,7 +378,6 @@ def _dist_run(args: argparse.Namespace, trace_sink=None, transport=None):
         mode=args.mode,
         plan=_dist_plan(args),
         seed=args.net_seed,
-        batch_gossip=args.batch_gossip,
         transport=transport,
         procs=getattr(args, "procs", None),
     )
@@ -888,13 +887,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         metavar=("SEGMENT", "AT", "RECOVER"),
         help="crash SEGMENT's node at tick AT, restart at RECOVER",
-    )
-    dist.add_argument(
-        "--batch-gossip",
-        action="store_true",
-        dest="batch_gossip",
-        help="coalesce journal gossip into per-link batches and "
-        "govern wall polls (same committed schedule, fewer messages)",
     )
     dist.add_argument(
         "--real",

@@ -248,6 +248,7 @@ class RestructuringHDDScheduler(HDDScheduler):
         )
         self.walls.set_sink(self._sink, step_source=self)
         self.protocol.repartitioned(plan.merged_into)
+        self._wm_plan = None  # class pairs and hops changed with it
         for txn in self.active_transactions():
             if txn.class_id is not None:
                 txn.class_id = plan.merged_into[txn.class_id]

@@ -109,8 +109,8 @@ class HDDScheduler(BaseScheduler):
         #: was itself the biggest cached-path overhead.
         self._frozen_marks: dict[SegmentId, Timestamp] = {}
         #: Static watermark evaluation plan: ``(i, j, hop)`` triples in
-        #: dependency order (see :meth:`safe_watermarks`); built once,
-        #: the partition being immutable.
+        #: dependency order (see :meth:`safe_watermarks`); built once
+        #: per partition (a restructure resets it).
         self._wm_plan: Optional[
             list[tuple[SegmentId, SegmentId, SegmentId]]
         ] = None
@@ -400,7 +400,8 @@ class HDDScheduler(BaseScheduler):
         ``hop`` is the last step of the critical path from ``i`` to
         ``j`` (``i`` itself for one-hop pairs); ordering by path length
         guarantees ``(i, hop)`` is evaluated before ``(i, j)``.  Built
-        once — the partition never changes.
+        once per partition — ``RestructuringHDDScheduler.restructure``
+        resets it when it swaps the partition.
         """
         if self._wm_plan is None:
             index = self.partition.index

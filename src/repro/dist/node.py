@@ -24,7 +24,7 @@ Wire protocol (all request/response pairs carry ``req``/``inc``):
                  close the activity interval, WAL, gossip
 ``ABORT_FINALIZE``   expunge versions, close the interval, WAL, gossip
 ``POLL``         leader only: drive the time-wall manager, broadcast
-                 fresh walls to every other node
+                 fresh walls to every other node (eager wire only)
 ``GOSSIP``       one-way activity-digest propagation (+ ``NACK`` gap
                  repair, ``WALL`` broadcast ingestion)
 ===============  ====================================================
@@ -52,6 +52,7 @@ database state (DESIGN.md §11).
 
 from __future__ import annotations
 
+import bisect
 from typing import Callable, Mapping, Optional, Sequence
 
 from repro.core.graph import SemiTreeIndex
@@ -112,13 +113,14 @@ class SegmentNode:
     leader:
         Whether this node hosts the :class:`TimeWallManager`.
     batch_gossip:
-        Coalesce journal gossip: instead of pushing news to every peer
-        inside each handler, entries accumulate and ship as one batched
+        Internal wiring the runtime fills in (true exactly for an HDD
+        run on an ideal plan — never a caller's choice).  Coalesce
+        journal gossip: instead of pushing news to every peer inside
+        each handler, entries accumulate and ship as one batched
         message per link when the coordinator *needs* them — via
-        :meth:`flush_gossip_to` barriers before digest-consuming RPCs
-        (or, under a faulty plan, at the heartbeat cadence).  The WALL
-        broadcast is also suppressed (no node ever reads it; walls
-        reach the coordinator in POLL responses).
+        :meth:`flush_gossip_to` barriers before digest-consuming RPCs.
+        The WALL broadcast is also suppressed (no node ever reads it;
+        walls reach the coordinator in POLL responses).
     snapshot_cache:
         Advance each served chain's frozen-prefix mark to ``I_old`` of
         this node's *own* class (first-hand activity log — exact, not
@@ -507,29 +509,30 @@ class SegmentNode:
         assert self.leader, "POLL reached a non-leader node"
         self.walls.poll()
         released = self.walls.released
-        # Broadcast fresh walls to every other segment controller —
-        # the paper's per-segment wall distribution, priced by the
-        # message report.  Batched mode suppresses it: no node consumes
-        # the broadcast, and the coordinator (the only wall consumer)
-        # receives walls in this very response.
-        while self._broadcast_through < len(released):
-            wall = released[self._broadcast_through]
-            self._broadcast_through += 1
-            if self.batch_gossip:
-                continue
-            serialized = self._serialize_wall(wall)
-            for peer_class in self.all_classes:
-                peer = node_name(peer_class)
-                if peer != self.name:
-                    self.network.send(
-                        self.name, peer, "WALL", {"wall": serialized}
-                    )
-        after = payload.get("after", -1)
-        fresh = [
-            self._serialize_wall(w)
-            for w in released
-            if w.release_ts > after
-        ]
+        if not self.batch_gossip:
+            # Broadcast fresh walls to every other segment controller —
+            # the paper's per-segment wall distribution, priced by the
+            # message report.  The coalesced wire sends none: no node
+            # consumes the broadcast, and the coordinator (the only wall
+            # consumer) receives walls in this very response.
+            for wall in released[self._broadcast_through :]:
+                serialized = self._serialize_wall(wall)
+                for peer_class in self.all_classes:
+                    peer = node_name(peer_class)
+                    if peer != self.name:
+                        self.network.send(
+                            self.name, peer, "WALL", {"wall": serialized}
+                        )
+            self._broadcast_through = len(released)
+        # ``released`` ascends in ``release_ts`` and is never retired
+        # here, so the walls above ``after`` are a suffix: one bisection
+        # per POLL, not a scan of every wall the run ever released.
+        first_fresh = bisect.bisect_right(
+            released,
+            payload.get("after", -1),
+            key=lambda wall: wall.release_ts,
+        )
+        fresh = [self._serialize_wall(w) for w in released[first_fresh:]]
         # ``pending``/``blocked_on`` feed the coordinator's poll
         # governor: while the computation at ``pending`` is gated on
         # ``blocked_on`` closing an interval, further polls are provably
@@ -556,9 +559,9 @@ class SegmentNode:
     def _gossip(self) -> None:
         """Push journal news (and our clock stamp) to every peer.
 
-        In batched mode this defers instead: ``_sent_through`` lags the
+        The coalesced wire defers instead: ``_sent_through`` lags the
         journal and the backlog ships coalesced — one message per link —
-        at the next :meth:`flush_gossip_to` barrier (or heartbeat).
+        at the next :meth:`flush_gossip_to` barrier.
         """
         if self.batch_gossip:
             return
@@ -583,8 +586,8 @@ class SegmentNode:
     def flush_gossip_to(self, peer: str) -> None:
         """Ship the deferred journal backlog to one peer, coalesced.
 
-        The batched-mode barrier: the coordinator calls this before any
-        RPC whose handler consumes this class's digest at ``peer`` (the
+        The coalesced wire's barrier: the coordinator calls this before
+        any RPC whose handler consumes this class's digest at ``peer`` (the
         leader's POLL, a wall-computing READ_A), so the digest there is
         exactly as complete as eager gossip would have made it.  A no-op
         when nothing is pending on the link.

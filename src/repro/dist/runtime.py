@@ -30,29 +30,34 @@ matches the monolithic scheduler byte for byte (the equivalence test
 pins this): both run the one protocol core, and each host call below
 does over the wire what its monolithic twin does in process.
 
-Gossip batching
----------------
-``batch_gossip=True`` coalesces the wire without touching the
-execution.  Nodes stop pushing journal gossip eagerly from inside
-handlers; instead the coordinator raises *flush barriers* exactly where
-digests are consumed: every node flushes to the leader before a POLL
-(``e_func`` and settlement read every class's digest, and an interval
-end at any timestamp can flip computability), and the intermediate
-classes of the critical path flush to the target before a
-wall-computing READ_A (one-hop walls are first-hand at the target and
-need no barrier).  BEGIN stays a synchronous RPC — its gossip may
-defer, but the class's own activity log is first-hand where it
-matters.  On an ideal plan a *poll governor* additionally skips POLLs
-that are provably no-ops, using the leader's ``pending``/``blocked_on``
-response fields and the retry-gate argument (a blocked wall computation
-at a fixed base can only turn around when the blocking class closes an
+The wire is chosen from the plan
+--------------------------------
+An HDD runtime on an ideal plan speaks the *coalesced* wire
+(``batch_gossip``, set here from ``plan.is_ideal`` — never by the
+caller); every other run speaks the eager one.  Coalescing changes the
+wire without touching the execution.  Nodes stop pushing journal gossip
+eagerly from inside handlers; instead the coordinator raises *flush
+barriers* exactly where digests are consumed: every node flushes to the
+leader before a POLL (``e_func`` and settlement read every class's
+digest, and an interval end at any timestamp can flip computability),
+and the intermediate classes of the critical path flush to the target
+before a wall-computing READ_A (one-hop walls are first-hand at the
+target and need no barrier).  BEGIN stays a synchronous RPC — its
+gossip may defer, but the class's own activity log is first-hand where
+it matters.  A *poll governor* additionally skips POLLs that are
+provably no-ops, using the leader's ``pending``/``blocked_on`` response
+fields and the retry-gate argument (a blocked wall computation at a
+fixed base can only turn around when the blocking class closes an
 interval — and every closure goes through this coordinator).  The WALL
 broadcast is suppressed entirely: no node reads it, and the
 coordinator — the only wall consumer — gets walls from POLL responses.
-Committed schedule, stats, walls and values stay byte-identical to the
-eager wire (pinned by ``tests/dist/test_batching.py``); under a faulty
-plan the governor disarms (a lost response could wedge it) and the
-heartbeat becomes the gossip cadence, with NACK repair unchanged.
+Committed schedule, stats, walls and values are byte-identical to the
+monolith (pinned by ``tests/dist/test_equivalence.py`` and
+``test_batching.py``).  A faulty plan keeps the eager wire: the
+governor is sound only while the leader's digests are exact after the
+flush barrier and no POLL response is ever lost, and the explorer's
+``deliver``/``rto`` perturbations reorder exactly the deliveries the
+barriers rely on (DESIGN.md §11).
 
 Fault handling
 --------------
@@ -235,7 +240,6 @@ class DistributedRuntime(BaseScheduler):
         wall_interval: int = 25,
         heartbeat: int = 5,
         clock: Optional[LogicalClock] = None,
-        batch_gossip: bool = False,
         snapshot_cache: bool = True,
         transport: str = "sim",
         procs: Optional[int] = None,
@@ -257,7 +261,9 @@ class DistributedRuntime(BaseScheduler):
         self.partition = partition
         self.plan = plan if plan is not None else FaultPlan()
         self.wall_interval = wall_interval
-        self.batch_gossip = batch_gossip and self.is_hdd
+        #: The coalesced, governed wire (module docstring) — chosen from
+        #: the plan, internal wiring the nodes are told about.
+        self.batch_gossip = self.is_hdd and self.plan.is_ideal
         self.snapshot_cache = snapshot_cache
         self.transport = transport
         # -- network and nodes -----------------------------------------
@@ -395,8 +401,9 @@ class DistributedRuntime(BaseScheduler):
         ] = {}
         #: The governor skips POLLs that are provably no-ops.  Sound
         #: only on an ideal plan, where the leader's digests are exact
-        #: after the flush barrier and no response is ever lost.
-        self._gov_active = self.batch_gossip and self.plan.is_ideal
+        #: after the flush barrier and no response is ever lost — which
+        #: is exactly where the wire is coalesced.
+        self._gov_active = self.batch_gossip
         #: Last POLL's verdict: ``None`` = must poll, ``("idle",)`` =
         #: poll only when the release cadence comes due, ``("blocked",
         #: class, ends)`` = poll only after that class closes an
@@ -746,20 +753,35 @@ class DistributedRuntime(BaseScheduler):
     # ------------------------------------------------------------------
     # Operations: the BaseScheduler funnels, each inside an op span
     # ------------------------------------------------------------------
+    # Every span closes in a ``finally``: a funnel that raises (a
+    # ``ProtocolViolation`` from the core, a starved RPC) must not leave
+    # ``_op_depth`` raised, or no later span of the run would be the
+    # outermost one.  The raising operation's span reports ``"error"``,
+    # the server's word for the same thing.
     def begin(self, profile=None, read_only=False) -> Transaction:
         start_tick = self._span_open()
-        txn = super().begin(profile=profile, read_only=read_only)
-        if self.is_hdd:
-            self.poll_walls(txn.txn_id)
-        self._span_close("begin", txn.txn_id, start_tick)
-        return txn
+        txn_id = None
+        status = "error"
+        try:
+            txn = super().begin(profile=profile, read_only=read_only)
+            txn_id = txn.txn_id
+            if self.is_hdd:
+                self.poll_walls(txn_id)
+            status = ""
+            return txn
+        finally:
+            self._span_close("begin", txn_id, start_tick, status)
 
     def _in_span(self, op: str, funnel, txn: Transaction, *args) -> Outcome:
         """Run one base funnel (``super().read`` ...) inside its op span."""
         start_tick = self._span_open()
-        outcome = funnel(txn, *args)
-        self._span_close(op, txn.txn_id, start_tick, outcome.kind.value)
-        return outcome
+        status = "error"
+        try:
+            outcome = funnel(txn, *args)
+            status = outcome.kind.value
+            return outcome
+        finally:
+            self._span_close(op, txn.txn_id, start_tick, status)
 
     def read(self, txn: Transaction, granule: GranuleId) -> Outcome:
         return self._in_span("read", super().read, txn, granule)
@@ -1035,8 +1057,12 @@ class DistributedRuntime(BaseScheduler):
         if not txn.is_active:
             return  # a background fence already finished the job
         start_tick = self._span_open()
-        self.cleanup_abort(txn, reason)
-        self._span_close("abort", txn.txn_id, start_tick, "aborted")
+        status = "error"
+        try:
+            self.cleanup_abort(txn, reason)
+            status = "aborted"
+        finally:
+            self._span_close("abort", txn.txn_id, start_tick, status)
 
     def cleanup_abort(
         self, txn: Transaction, reason: str, background: bool = False
@@ -1096,7 +1122,7 @@ class DistributedRuntime(BaseScheduler):
     def _flush_for_wall_read(
         self, start: SegmentId, target: SegmentId, from_below: bool
     ) -> None:
-        """Batched-mode barrier before a wall-computing READ_A.
+        """Coalesced-wire barrier before a wall-computing READ_A.
 
         ``a_func(start, target, I)`` at the target node walks
         ``I_old`` hops over ``critical_path[1:]`` — the target's own
@@ -1145,14 +1171,19 @@ class DistributedRuntime(BaseScheduler):
 
         Unreliable on purpose: under faults an abandoned poll just means
         the next one (every begin/commit/abort and every idle simulator
-        step) tries again.  In batched mode every node first flushes its
-        deferred gossip to the leader — ``e_func`` and settlement read
-        every class's digest, and ends at *any* timestamp can change
-        computability, so the leader barrier is total (unlike READ_A's).
+        step) tries again.  On the coalesced wire every node first
+        flushes its deferred gossip to the leader — ``e_func`` and
+        settlement read every class's digest, and ends at *any*
+        timestamp can change computability, so the leader barrier is
+        total (unlike READ_A's).
         """
         start_tick = self._span_open()
-        self._do_poll_walls(txn_id)
-        self._span_close("poll", txn_id, start_tick)
+        status = "error"
+        try:
+            self._do_poll_walls(txn_id)
+            status = ""
+        finally:
+            self._span_close("poll", txn_id, start_tick, status)
 
     def _do_poll_walls(self, txn_id: Optional[int]) -> None:
         if self._gov_active and self._gov_skip():

@@ -14,7 +14,7 @@ space.  This package is the hunting side of that story (DESIGN.md §15):
   description of one explored run (target, workload, fault plan,
   recorded choices), and ``run_case`` which executes it.
 * :mod:`repro.explore.oracles` — what "broken" means: serializability,
-  digest conservatism, batched≡eager equivalence, critical-path
+  digest conservatism, dist≡monolith equivalence, critical-path
   exactness, and plain engine errors.
 * :mod:`repro.explore.fuzz` — budgeted :class:`FaultPlan` mutation with
   AFL-style coverage-novelty prioritisation.

@@ -20,7 +20,7 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Sequence
 
-from repro.errors import ReproError
+from repro.errors import ConfigError, ReproError
 from repro.explore.perturb import (
     Choice,
     Perturber,
@@ -35,7 +35,8 @@ from repro.sweep.spec import (
 )
 
 #: Bump when run semantics change and old artifacts stop replaying.
-ARTIFACT_VERSION = 1
+#: 2: the dist wire is chosen from the plan; cases carry no wire field.
+ARTIFACT_VERSION = 2
 
 
 def plan_to_dict(plan) -> dict[str, object]:
@@ -88,7 +89,6 @@ class ExploreCase:
 
     scheduler: str = "hdd"
     dist: bool = False
-    batch_gossip: bool = False
     mutant: Optional[str] = None
     workload: Mapping[str, object] = field(
         default_factory=lambda: {"schema": "inventory"}
@@ -108,7 +108,6 @@ class ExploreCase:
             "version": ARTIFACT_VERSION,
             "scheduler": self.scheduler,
             "dist": self.dist,
-            "batch_gossip": self.batch_gossip,
             "mutant": self.mutant,
             "workload": dict(self.workload),
             "clients": self.clients,
@@ -125,7 +124,12 @@ class ExploreCase:
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "ExploreCase":
         data = dict(data)
-        data.pop("version", None)
+        version = data.pop("version", ARTIFACT_VERSION)
+        if version != ARTIFACT_VERSION:
+            raise ConfigError(
+                f"explore case recorded at artifact version {version} "
+                f"does not replay at version {ARTIFACT_VERSION}"
+            )
         data["workload"] = dict(data.get("workload", {}))
         data["plan"] = dict(data.get("plan", {}))
         data["choices"] = tuple(
@@ -150,13 +154,13 @@ class ExploreCase:
     def sim_level_only(self) -> bool:
         """Whether net-level perturbation points are off-limits.
 
-        Batched-ideal runs ride the POLL governor, whose idle-skip
-        contract assumes the network's baseline delivery order;
-        reordering deliveries across links can stall it legally — a
-        false positive on a correct scheduler — so those targets are
-        explored at the simulator level only.
+        A dist run on an ideal plan rides the coalesced wire and its
+        POLL governor, whose idle-skip contract assumes the network's
+        baseline delivery order; reordering deliveries across links can
+        stall it legally — a false positive on a correct scheduler — so
+        those targets are explored at the simulator level only.
         """
-        return self.batch_gossip and not dict(self.plan)
+        return self.dist and not dict(self.plan)
 
     @property
     def perturb_points(self) -> tuple[str, ...]:
@@ -220,7 +224,6 @@ def build_real_scheduler(
         seed=case.net_seed,
         wall_interval=case.wall_interval,
         heartbeat=case.heartbeat,
-        batch_gossip=case.batch_gossip,
     )
 
 
@@ -229,7 +232,8 @@ def run_case(
 ) -> RunReport:
     """Execute a case and collect everything the oracles need.
 
-    ``perturber`` defaults to replaying the case's recorded choices;
+    ``perturber`` defaults to replaying the case's recorded choices
+    (those at the case's :attr:`~ExploreCase.perturb_points`);
     the explore engine passes live perturbers (random / neighborhood)
     instead.  One perturber serves both the simulator and the network —
     the choice points are disjoint, so the call counters never clash.
@@ -241,7 +245,14 @@ def run_case(
     mutants) or a real bug report (for genuine targets).
     """
     if perturber is None:
-        perturber = ReplayPerturber(case.choices)
+        # Choices at points that are off-limits for this case are inert:
+        # the minimizer can shrink a faulty plan to the ideal one while
+        # net-level choices recorded under it are still in the case,
+        # and replaying those against the governed wire would report
+        # the wire's broken contract, not the target's bug.
+        perturber = ReplayPerturber(
+            c for c in case.choices if c.point in case.perturb_points
+        )
     workload = build_workload(case.workload)
     scheduler = _build_scheduler(case, workload.partition)
     registry = MetricsRegistry()

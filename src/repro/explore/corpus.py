@@ -22,8 +22,8 @@ the paper's own anomaly constructions (Figures 3-4):
   infinite, admitting digest raises real activity never justified.
 * ``dist-no-fence`` — the coordinator drops every incarnation fence,
   so transactions survive node restarts that lost their engine state.
-* ``dist-skip-barrier`` — batched gossip skips the consumption barrier
-  before wall-computing reads.
+* ``dist-skip-barrier`` — the coalesced wire skips the consumption
+  barrier before wall-computing reads.
 * ``dist-skewed-spans`` — commit op-spans are recorded one tick short,
   breaking the critical-path exactness invariant.
 """
@@ -144,7 +144,7 @@ def _dist_skip_barrier(case: ExploreCase, partition):
     from repro.dist.runtime import DistributedRuntime
 
     class SkipBarrierRuntime(DistributedRuntime):
-        """Batched gossip without the consumption barrier before
+        """The coalesced wire without the consumption barrier before
         wall-computing READ_A calls."""
 
         def _flush_for_wall_read(self, start, target, from_below):
@@ -265,9 +265,9 @@ CORPUS: tuple[CorpusEntry, ...] = (
     ),
     CorpusEntry(
         name="dist-skip-barrier",
-        description="batched gossip skips the consumption barrier",
+        description="coalesced wire skips the consumption barrier",
         expected=(
-            "batched-eager",
+            "dist-monolith",
             "serializability",
             "digest-conservatism",
             "engine-error",
@@ -275,7 +275,6 @@ CORPUS: tuple[CorpusEntry, ...] = (
         template={
             "scheduler": "hdd",
             "dist": True,
-            "batch_gossip": True,
             "workload": _INVENTORY,
             "clients": 6,
             "target_commits": 50,
@@ -313,7 +312,8 @@ def corpus_entry(name: str) -> CorpusEntry:
 
 def real_cases() -> list[ExploreCase]:
     """The genuine targets every campaign must leave clean: monolithic
-    HDD, eager dist, and batched-ideal dist."""
+    HDD, dist on a faulty plan (the eager wire), and dist on an ideal
+    plan (the coalesced wire)."""
     return [
         ExploreCase(
             scheduler="hdd",
@@ -332,7 +332,6 @@ def real_cases() -> list[ExploreCase]:
         ExploreCase(
             scheduler="hdd",
             dist=True,
-            batch_gossip=True,
             workload=_INVENTORY,
             clients=6,
             target_commits=50,

@@ -12,7 +12,7 @@ One :func:`explore` call hunts one target (a case template) within an
 3. **Neighborhood** — systematic single-deviation probes of the
    baseline's recorded choice points (the smallest possible schedule
    changes, spread across the run by stride).
-4. **Fault fuzzing** — for eager distributed targets, plan mutations
+4. **Fault fuzzing** — for faulty-plan distributed targets, plan mutations
    inside the declared :class:`FaultBudget`, frontier-prioritised by
    coverage novelty.
 
@@ -85,7 +85,7 @@ def _target_label(case: ExploreCase) -> str:
     if case.mutant:
         return case.mutant
     suffix = "" if not case.dist else (
-        "-dist-batched" if case.batch_gossip else "-dist"
+        "-dist-ideal" if case.sim_level_only else "-dist"
     )
     return f"real-{case.scheduler}{suffix}"
 
@@ -107,9 +107,9 @@ def explore(
         """Oracle-check one executed case; True to stop the search."""
         # Live-perturbed runs execute the *template* while the recorded
         # decisions land in ``case`` afterwards; the oracles must see
-        # the choice-ful case (batched≡eager rebuilds its eager
-        # counterpart from it — comparing a perturbed batched run
-        # against an unperturbed eager run is a spurious violation).
+        # the choice-ful case (dist≡monolith rebuilds its monolithic
+        # twin from it — comparing a perturbed dist run against an
+        # unperturbed monolith is a spurious violation).
         report.case = case
         result.runs += 1
         coverage.observe(coverage_features(report.metrics))
@@ -204,8 +204,10 @@ def explore(
             result.coverage = len(coverage.features)
             return result
 
-    # -- phase 4: fault fuzzing (eager dist targets only) -------------
-    if budget.fuzz and template.dist and not template.batch_gossip:
+    # -- phase 4: fault fuzzing (faulty-plan dist targets only: a fuzzed
+    # plan is never ideal, so it would move an ideal-plan target off the
+    # coalesced wire the target exists to exercise) --------------------
+    if budget.fuzz and template.dist and not template.sim_level_only:
         from repro.dist.node import node_name
         from repro.sweep.spec import build_workload
 

@@ -17,15 +17,15 @@ case's shape and returns the violations found:
   no-ops).  This catches a node that admits stale digest raises.
 * ``critical-path`` — the PR-7 exactness invariant: every committed
   transaction's latency must be fully attributed to buckets.
-* ``batched-eager`` — a batched-gossip ideal-plan run must commit the
-  exact same schedule as its eager counterpart (valid only when all
-  perturbation choices are simulator-level, so both runs see the same
-  decision stream).
+* ``dist-monolith`` — a distributed run on an ideal plan must commit
+  the exact same schedule as the monolithic scheduler it distributes
+  (such cases are perturbed at the simulator level only, so both runs
+  see the same decision stream).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 from repro.errors import NotComputableError
@@ -129,44 +129,33 @@ def check_critical_path(report: RunReport) -> Optional[Violation]:
     return Violation("critical-path", "; ".join(problems[:3]))
 
 
-def batched_eager_applicable(case: ExploreCase) -> bool:
-    """The equivalence claim only holds for ideal-plan batched runs,
-    and only when every recorded choice is simulator-level (a net-level
-    choice would hit different call addresses in the two runs)."""
-    return (
-        case.dist
-        and case.batch_gossip
-        and not dict(case.plan)
-        and all(c.point in ("ready", "arrival") for c in case.choices)
-    )
-
-
-def check_batched_eager(
+def check_dist_monolith(
     report: RunReport,
     runner: Callable[[ExploreCase], RunReport] = run_case,
 ) -> Optional[Violation]:
-    if not batched_eager_applicable(report.case):
+    """A dist run on an ideal plan against the same case on the genuine
+    monolithic scheduler.  Both see the same decision stream: such a
+    case is perturbed at the simulator level only."""
+    if not report.case.sim_level_only:
         return None
-    from dataclasses import replace
-
-    eager = runner(replace(report.case, batch_gossip=False))
-    if report.schedule_lines == eager.schedule_lines:
+    mono = runner(replace(report.case, dist=False, mutant=None))
+    if report.schedule_lines == mono.schedule_lines:
         return None
     divergence = next(
         (
             i
             for i, (a, b) in enumerate(
-                zip(report.schedule_lines, eager.schedule_lines)
+                zip(report.schedule_lines, mono.schedule_lines)
             )
             if a != b
         ),
-        min(len(report.schedule_lines), len(eager.schedule_lines)),
+        min(len(report.schedule_lines), len(mono.schedule_lines)),
     )
     return Violation(
-        "batched-eager",
-        f"batched and eager schedules diverge at step {divergence} "
-        f"(batched={len(report.schedule_lines)} steps, "
-        f"eager={len(eager.schedule_lines)} steps)",
+        "dist-monolith",
+        f"dist and monolith schedules diverge at step {divergence} "
+        f"(dist={len(report.schedule_lines)} steps, "
+        f"monolith={len(mono.schedule_lines)} steps)",
     )
 
 
@@ -185,7 +174,7 @@ def check_case(
         violation = check(report)
         if violation is not None:
             violations.append(violation)
-    violation = check_batched_eager(report, runner)
+    violation = check_dist_monolith(report, runner)
     if violation is not None:
         violations.append(violation)
     return violations

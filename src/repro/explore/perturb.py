@@ -118,7 +118,7 @@ class RandomPerturber(Perturber):
     creating meaningful races.
 
     ``points`` restricts deviations to a subset of choice points —
-    batched-ideal targets are explored at the simulator level only
+    ideal-plan dist targets are explored at the simulator level only
     (``("ready", "arrival")``), because cross-link delivery reorder can
     legally stall the POLL governor's idle-skip contract and would read
     as a false positive on a correct scheduler.

@@ -154,12 +154,14 @@ def measured_message_report(runtime) -> tuple[MessageReport, dict[str, int]]:
     same log.  Dropped messages count where they were sent: the wire
     carried them.
 
-    Gossip batching (``batch_gossip``) changes the wire, not the model:
+    The wire the runtime chose from its plan (coalesced on an ideal
+    plan, eager otherwise) changes the counts, not the model:
     ``gossip_entries`` counts the journal entries the GOSSIP messages
     carried, so ``gossip_entries / oneway.GOSSIP`` is the coalescing
-    factor (1.0-ish eager, larger batched), and ``polls_skipped``
+    factor (1.0-ish eager, larger coalesced), and ``polls_skipped``
     reports the POLL round-trips the coordinator's governor proved
-    unnecessary and never sent.
+    unnecessary and never sent; an ideal-plan run sends no ``WALL``
+    broadcast, so its wall-broadcast count is zero.
     """
     report = MessageReport()
     extras: dict[str, int] = {}

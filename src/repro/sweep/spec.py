@@ -98,8 +98,8 @@ class RunConfig:
     )
     #: Distributed-runtime parameters (``latency``, ``jitter``,
     #: ``drop_rate``, ``spike_rate``, ``spike_ticks``, ``net_seed``,
-    #: ``wall_interval``, ``heartbeat``, ``batch_gossip``) or ``None``
-    #: for the monolithic scheduler.  ``None`` is omitted from
+    #: ``wall_interval``, ``heartbeat``) or ``None`` for the
+    #: monolithic scheduler.  ``None`` is omitted from
     #: :meth:`to_dict` so every pre-existing config hash (and its
     #: cached result) is unchanged.
     dist: Optional[Mapping[str, object]] = None
@@ -198,7 +198,6 @@ def _make_dist_runtime(config: RunConfig, partition):
     net_seed = int(params.pop("net_seed", 0))
     wall_interval = int(params.pop("wall_interval", 25))
     heartbeat = int(params.pop("heartbeat", 5))
-    batch_gossip = bool(params.pop("batch_gossip", False))
     transport = str(params.pop("transport", "sim"))
     raw_procs = params.pop("procs", None)
     procs = None if raw_procs is None else int(raw_procs)
@@ -218,7 +217,6 @@ def _make_dist_runtime(config: RunConfig, partition):
         seed=net_seed,
         wall_interval=wall_interval,
         heartbeat=heartbeat,
-        batch_gossip=batch_gossip,
         transport=transport,
         procs=procs,
     )

@@ -8,6 +8,7 @@ from repro.core.restructure import (
     restructured_partition,
 )
 from repro.errors import PartitionError, ProtocolViolation
+from repro.sim.hierarchies import chain_partition
 from repro.sim.inventory import build_inventory_partition
 from repro.txn.depgraph import is_serializable
 
@@ -136,6 +137,37 @@ class TestLiveRestructure:
         )
         s.write(t1, "inventory:i1", 1)
         assert s.commit(t1).granted
+
+    def test_gc_after_restructure_sweeps_the_new_partition(self):
+        """The watermark plan is per partition: after a merge that
+        renames a hop, GC must sweep the new class pairs (the stale plan
+        asked the new tracker for a class that no longer exists) and
+        keep the version an in-flight Protocol A reader is entitled to.
+        """
+        s = RestructuringHDDScheduler(chain_partition(4))
+        for segment in ("L0", "L1", "L2", "L3"):
+            for value in (1, 2):
+                writer = s.begin(profile=f"update_{segment}")
+                s.write(writer, f"{segment}:g0", value)
+                s.commit(writer)
+        s.collect_garbage()  # builds the plan for the 4-class chain
+        reader = s.begin(profile="update_L3")
+        before = s.read(reader, "L0:g0")
+        assert before.granted
+        newer = s.begin(profile="update_L0")
+        s.write(newer, "L0:g0", 3)
+        s.commit(newer)
+        s.run_adhoc_profile("fixer", writes=["L1", "L2"], reads=["L0"])
+        s.collect_garbage()
+        assert set(s.safe_watermarks()) == set(s.partition.segments)
+        assert {j for _, j, _ in s._watermark_plan()} <= set(
+            s.partition.segments
+        )
+        after = s.read(reader, "L0:g0")
+        assert after.granted
+        assert after.version_ts == before.version_ts
+        assert s.commit(reader).granted
+        assert is_serializable(s.schedule)
 
     def test_noop_restructure(self):
         s = RestructuringHDDScheduler(build_inventory_partition())

@@ -17,6 +17,7 @@ Three acceptance properties of the dist observability layer:
 import pytest
 
 from repro.dist import Crash, DistributedRuntime, FaultPlan, node_name
+from repro.errors import ProtocolViolation
 from repro.obs import (
     CausalTrace,
     CriticalPathAnalyzer,
@@ -275,3 +276,28 @@ class TestSpans:
         ]
         assert len(begins) == 1
         assert begins[0].txn_id == txn.txn_id
+
+    def test_a_raising_funnel_still_closes_its_span(self):
+        """A ``ProtocolViolation`` out of ``read`` must not leave the
+        funnel depth raised: the failed operation reports an ``error``
+        span and the next operation's span is emitted as usual."""
+        runtime = DistributedRuntime(chain_partition(2), mode="hdd", seed=0)
+        sink = MemorySink()
+        runtime.set_sink(sink)
+        txn = runtime.begin(profile="update_L0")
+        with pytest.raises(ProtocolViolation):
+            runtime.read(txn, "L1:g0")  # L1 is below L0: not readable
+        assert runtime._op_depth == 0
+        assert runtime.write(txn, "L0:g0", 1).granted
+        assert runtime.commit(txn).granted
+        spans = [
+            (e.op, e.status)
+            for e in sink.events
+            if isinstance(e, OpSpanEvent)
+        ]
+        assert spans == [
+            ("begin", ""),
+            ("read", "error"),
+            ("write", "granted"),
+            ("commit", "granted"),
+        ]

@@ -53,3 +53,15 @@ def test_load_rejects_non_artifacts(tmp_path):
     path.write_text(json.dumps({"hello": 1}))
     with pytest.raises(ReproError, match="not an explore artifact"):
         load_artifact(str(path))
+
+
+def test_artifact_from_another_version_is_refused(tmp_path):
+    """A case recorded before the wire was chosen from the plan carries
+    a ``batch_gossip`` field and an older version: refused by name, not
+    replayed under different semantics."""
+    path = _fresh_artifact(tmp_path)
+    data = json.loads(path.read_text())
+    data["case"]["version"] = 1
+    data["case"]["batch_gossip"] = True
+    with pytest.raises(ReproError, match="artifact version 1"):
+        replay_artifact(data)

@@ -10,7 +10,7 @@ and requires byte-identical canonical outputs.
 """
 
 from repro.explore.cases import ExploreCase, run_case
-from repro.explore.perturb import RandomPerturber, ZeroPerturber
+from repro.explore.perturb import Choice, RandomPerturber, ZeroPerturber
 from repro.sim.engine import Simulator
 from repro.sweep.spec import build_workload
 
@@ -74,14 +74,32 @@ def test_dist_zero_perturber_matches_disarmed():
 
 
 def test_dist_batched_zero_perturber_matches_disarmed():
+    """The ideal plan: the coalesced, governed wire."""
     case = ExploreCase(
         scheduler="hdd",
         dist=True,
-        batch_gossip=True,
         clients=6,
         target_commits=30,
     )
     assert _armed_lines(case, ZeroPerturber()) == _disarmed_lines(case)
+
+
+def test_net_level_choices_are_inert_on_an_ideal_plan():
+    """The governed wire's contract assumes baseline delivery order, so
+    an ideal-plan case is perturbed at the simulator level only — also
+    on replay, where the minimizer can leave net-level choices behind
+    after shrinking a faulty plan to the ideal one."""
+    case = ExploreCase(
+        scheduler="hdd", dist=True, clients=6, target_commits=30
+    )
+    leftover = case.with_choices(
+        [Choice("deliver", index, 1) for index in range(400)]
+    )
+    report = run_case(leftover)
+    assert report.perturber.recorded == []
+    assert (report.schedule_lines, report.message_lines) == _disarmed_lines(
+        case
+    )
 
 
 def test_nonzero_choice_actually_changes_a_schedule():

@@ -3,12 +3,11 @@
 from repro.explore.cases import ExploreCase, RunReport
 from repro.explore.oracles import (
     Violation,
-    batched_eager_applicable,
     check_case,
+    check_dist_monolith,
     check_engine_error,
     check_serializability,
 )
-from repro.explore.perturb import Choice
 
 
 def test_violation_round_trip():
@@ -32,24 +31,27 @@ def test_serializability_oracle_needs_a_schedule():
     assert check_serializability(RunReport(case=ExploreCase())) is None
 
 
-def test_batched_eager_applicability_gating():
-    ideal_batched = ExploreCase(dist=True, batch_gossip=True)
-    assert batched_eager_applicable(ideal_batched)
-    # net-level recorded choices hit different call addresses in the
-    # eager counterpart, so the equivalence claim doesn't apply
-    perturbed = ideal_batched.with_choices(
-        [Choice(point="deliver", index=0, pick=1)]
-    )
-    assert not batched_eager_applicable(perturbed)
-    sim_perturbed = ideal_batched.with_choices(
-        [Choice(point="ready", index=4, pick=2)]
-    )
-    assert batched_eager_applicable(sim_perturbed)
-    # faulty plans and eager runs are out of scope entirely
-    assert not batched_eager_applicable(
-        ExploreCase(dist=True, batch_gossip=True, plan={"latency": 1})
-    )
-    assert not batched_eager_applicable(ExploreCase(dist=True))
+def test_dist_monolith_oracle_compares_against_the_real_monolith():
+    case = ExploreCase(dist=True, mutant="dist-skip-barrier")
+    twins = []
+
+    def runner(twin):
+        twins.append(twin)
+        return RunReport(case=twin, schedule_lines=("r1", "w1", "c1"))
+
+    same = RunReport(case=case, schedule_lines=("r1", "w1", "c1"))
+    assert check_dist_monolith(same, runner) is None
+    # the twin is the same case on the genuine monolithic scheduler
+    assert twins == [ExploreCase()]
+    diverged = RunReport(case=case, schedule_lines=("r1", "w2"))
+    violation = check_dist_monolith(diverged, runner)
+    assert violation is not None and violation.kind == "dist-monolith"
+    assert "diverge at step 1" in violation.detail
+    # faulty plans and monolithic runs are out of scope: no twin is run
+    for other in (ExploreCase(dist=True, plan={"latency": 1}), ExploreCase()):
+        report = RunReport(case=other, schedule_lines=("r1",))
+        assert check_dist_monolith(report, runner) is None
+    assert len(twins) == 2
 
 
 def test_check_case_on_error_only_report():

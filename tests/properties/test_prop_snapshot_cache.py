@@ -6,8 +6,7 @@ secondary index, and shares one resolved ``WallSnapshot`` per wall.
 None of that may change a single scheduling decision: on any random
 workload the cached run must replay the uncached run byte for byte —
 same schedule, same stats, same committed values — with GC interleaved
-or not, and through the distributed runtime (eager and batched gossip)
-just the same.
+or not, and through the distributed runtime just the same.
 """
 
 from hypothesis import given, settings
@@ -142,17 +141,14 @@ def test_cache_survives_interleaved_gc(seed, clients, gc_interval):
 
 @given(
     mode=st.sampled_from(["hdd", "hdd-to"]),
-    batch_gossip=st.booleans(),
     seed=st.integers(0, 10_000),
     clients=st.integers(2, 8),
 )
 @settings(max_examples=10, deadline=None)
-def test_dist_runtime_matches_uncached_monolith(
-    mode, batch_gossip, seed, clients
-):
+def test_dist_runtime_matches_uncached_monolith(mode, seed, clients):
     """The distributed runtime reads through the same cached chains; on
-    an ideal plan (eager or batched gossip) it must still replay the
-    cache-disabled monolithic scheduler exactly."""
+    an ideal plan it must still replay the cache-disabled monolithic
+    scheduler exactly."""
     protocol_b = "to" if mode == "hdd-to" else "mvto"
     partition = build_inventory_partition()
     mono = HDDScheduler(
@@ -168,7 +164,6 @@ def test_dist_runtime_matches_uncached_monolith(
         mode=mode,
         plan=FaultPlan(),
         seed=0,
-        batch_gossip=batch_gossip,
     )
     dist_result = run_sim(
         dist, dist_partition, seed, clients, read_only_share=0.25
@@ -181,12 +176,11 @@ def test_dist_runtime_matches_uncached_monolith(
 
 
 @given(
-    batch_gossip=st.booleans(),
     seed=st.integers(0, 10_000),
     clients=st.integers(2, 8),
 )
 @settings(max_examples=8, deadline=None)
-def test_dist_cache_toggle_byte_identical(batch_gossip, seed, clients):
+def test_dist_cache_toggle_byte_identical(seed, clients):
     """Node-side frozen marks come from first-hand activity logs, so
     disabling the cache on every segment node must not move a single
     read: the two distributed runs replay each other exactly."""
@@ -198,7 +192,6 @@ def test_dist_cache_toggle_byte_identical(batch_gossip, seed, clients):
             mode="hdd",
             plan=FaultPlan(),
             seed=0,
-            batch_gossip=batch_gossip,
             snapshot_cache=snapshot_cache,
         )
         run_sim(dist, partition, seed, clients, read_only_share=0.25)
