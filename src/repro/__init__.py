@@ -76,6 +76,7 @@ from repro.baselines import (
 )
 from repro.errors import (
     NotComputableError,
+    NotSerializableError,
     PartitionError,
     ProtocolViolation,
     ReproError,
@@ -93,6 +94,7 @@ from repro.txn import (
     Schedule,
     Transaction,
     build_dependency_graph,
+    closing_step,
     find_dependency_cycle,
     is_serializable,
     serialization_order,
@@ -155,6 +157,7 @@ __all__ = [
     "Schedule",
     "Transaction",
     "build_dependency_graph",
+    "closing_step",
     "find_dependency_cycle",
     "is_serializable",
     "serialization_order",
@@ -164,5 +167,6 @@ __all__ = [
     "ProtocolViolation",
     "TransactionAborted",
     "NotComputableError",
+    "NotSerializableError",
     "__version__",
 ]

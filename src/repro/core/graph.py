@@ -44,7 +44,9 @@ class Digraph:
         arcs: Iterable[Arc] = (),
     ) -> None:
         self._succ: dict[Node, set[Node]] = {}
-        self._pred: dict[Node, set[Node]] = {}
+        #: The reverse adjacency, built on first use and dropped by any
+        #: mutation: most graphs are built once and only then queried.
+        self._pred_cache: Optional[dict[Node, set[Node]]] = None
         for node in nodes:
             self.add_node(node)
         for u, v in arcs:
@@ -54,20 +56,35 @@ class Digraph:
     # Construction
     # ------------------------------------------------------------------
     def add_node(self, node: Node) -> None:
-        self._succ.setdefault(node, set())
-        self._pred.setdefault(node, set())
+        if node not in self._succ:
+            self._succ[node] = set()
+            self._pred_cache = None
 
     def add_arc(self, u: Node, v: Node) -> None:
         if u == v:
             raise PartitionError(f"self-loop {u!r} -> {v!r} is not allowed")
-        self.add_node(u)
-        self.add_node(v)
-        self._succ[u].add(v)
-        self._pred[v].add(u)
+        succ = self._succ
+        if v not in succ:
+            succ[v] = set()
+        if u in succ:
+            succ[u].add(v)
+        else:
+            succ[u] = {v}
+        self._pred_cache = None
 
     def remove_arc(self, u: Node, v: Node) -> None:
         self._succ[u].discard(v)
-        self._pred[v].discard(u)
+        self._pred_cache = None
+
+    @property
+    def _pred(self) -> dict[Node, set[Node]]:
+        if self._pred_cache is None:
+            pred: dict[Node, set[Node]] = {node: set() for node in self._succ}
+            for u, targets in self._succ.items():
+                for v in targets:
+                    pred[v].add(u)
+            self._pred_cache = pred
+        return self._pred_cache
 
     # ------------------------------------------------------------------
     # Basic queries

@@ -88,3 +88,20 @@ class NotComputableError(ReproError):
     def __init__(self, message: str, class_id: object = None) -> None:
         super().__init__(message)
         self.class_id = class_id
+
+
+class NotSerializableError(ReproError):
+    """The serializability audit of a recorded schedule found a cycle.
+
+    ``cycle`` holds the cycle's ``Dependency`` arcs and ``closing_step``
+    the schedule index of the commit marker that closed it.
+    """
+
+    def __init__(self, who: str, cycle: list, closing_step: int) -> None:
+        super().__init__(
+            f"{who}: recorded schedule is not serializable — scheduler "
+            f"bug; the commit at step {closing_step} closed the cycle "
+            + "; ".join(map(str, cycle))
+        )
+        self.cycle = cycle
+        self.closing_step = closing_step

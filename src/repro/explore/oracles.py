@@ -30,7 +30,7 @@ from typing import Callable, Optional
 
 from repro.errors import NotComputableError
 from repro.explore.cases import ExploreCase, RunReport, run_case
-from repro.txn.depgraph import find_dependency_cycle, is_serializable
+from repro.txn.depgraph import closing_step, find_dependency_cycle
 
 
 @dataclass(frozen=True)
@@ -48,12 +48,13 @@ def check_serializability(report: RunReport) -> Optional[Violation]:
     schedule = getattr(report.scheduler, "schedule", None)
     if schedule is None:
         return None
-    if is_serializable(schedule, mode="mvsg"):
-        return None
     cycle = find_dependency_cycle(schedule, mode="mvsg")
+    if cycle is None:
+        return None
     return Violation(
         "serializability",
-        f"MVSG has a cycle: {cycle}" if cycle else "MVSG is cyclic",
+        f"the commit at step {closing_step(schedule, mode='mvsg')} closed "
+        "the MVSG cycle " + "; ".join(map(str, cycle)),
     )
 
 

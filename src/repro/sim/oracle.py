@@ -24,6 +24,7 @@ from repro.errors import ReproError
 from repro.scheduling import BaseScheduler
 from repro.sim.workload import TxnSpec
 from repro.txn.depgraph import serialization_order
+from repro.txn.schedule import ScheduleIndex
 from repro.txn.transaction import GranuleId
 
 
@@ -102,16 +103,9 @@ def replay_serially(
     # computed during the replay — order-sensitive exactly where value
     # flow (reads, RMW chains) makes it observable.
     report = ReplayReport(transactions_replayed=replayed)
-    final_writer: dict[GranuleId, int] = {}
-    for granule in scheduler.schedule.granules():
-        versions = scheduler.schedule.version_order(granule)
-        if not versions:
-            continue
-        writer = _writer_of(scheduler.schedule, granule, versions[-1])
-        if writer is not None:
-            final_writer[granule] = writer
-    for granule, writer in final_writer.items():
-        key = (writer, granule)
+    index = ScheduleIndex(scheduler.schedule.steps)
+    for granule, versions in index.versions.items():
+        key = (index.writer_of[(granule, versions[-1])], granule)
         if key not in left_by:
             continue  # writer not driven through the simulator
         expected = left_by[key]
@@ -120,19 +114,6 @@ def replay_serially(
         if actual != expected:
             report.mismatches[granule] = (expected, actual)
     return report
-
-
-def _writer_of(schedule, granule: GranuleId, version_ts) -> int | None:
-    from repro.txn.schedule import Action
-
-    for step in schedule.steps:
-        if (
-            step.action is Action.WRITE
-            and step.granule == granule
-            and step.version_ts == version_ts
-        ):
-            return step.txn_id
-    return None
 
 
 def verify_serial_equivalence(

@@ -10,11 +10,12 @@ from repro.txn.clock import (
 from repro.txn.depgraph import (
     Dependency,
     build_dependency_graph,
+    closing_step,
     find_dependency_cycle,
     is_serializable,
     serialization_order,
 )
-from repro.txn.schedule import Action, Schedule, Step
+from repro.txn.schedule import Action, Schedule, ScheduleIndex, Step
 from repro.txn.transaction import (
     GranuleId,
     SegmentId,
@@ -31,11 +32,13 @@ __all__ = [
     "Timestamp",
     "Dependency",
     "build_dependency_graph",
+    "closing_step",
     "find_dependency_cycle",
     "is_serializable",
     "serialization_order",
     "Action",
     "Schedule",
+    "ScheduleIndex",
     "Step",
     "GranuleId",
     "SegmentId",

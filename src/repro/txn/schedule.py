@@ -15,10 +15,11 @@ graph to committed transactions.
 from __future__ import annotations
 
 import enum
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
-from repro.txn.clock import Timestamp
+from repro.txn.clock import BOOTSTRAP_TXN_ID, Timestamp
 from repro.txn.transaction import GranuleId
 
 
@@ -53,13 +54,51 @@ class Step:
         )
 
 
+class ScheduleIndex:
+    """Everything the oracle asks of a schedule, from one pass over it.
+
+    ``committed`` holds the ids with a commit marker; ``writer_of`` maps
+    ``(granule, version_ts)`` to its committed (or bootstrap) writer;
+    ``versions`` is every written granule's committed version order
+    ``<<`` (ascending write timestamps); ``reads`` lists the committed
+    (and bootstrap) transactions' reads ``(reader, granule, version_ts)``
+    in schedule order.  Pass a slice of ``Schedule.steps`` to index a
+    prefix.
+    """
+
+    __slots__ = ("committed", "writer_of", "versions", "reads")
+
+    def __init__(self, steps: Sequence[Step]) -> None:
+        committed = {s.txn_id for s in steps if s.action is Action.COMMIT}
+        audited = committed | {BOOTSTRAP_TXN_ID}
+        writer_of: dict[tuple[GranuleId, Timestamp], int] = {}
+        versions: dict[GranuleId, set[Timestamp]] = defaultdict(set)
+        reads: list[tuple[int, GranuleId, Timestamp]] = []
+        read, write = Action.READ, Action.WRITE
+        for step in steps:
+            txn_id, action = step.txn_id, step.action
+            if txn_id not in audited:
+                continue
+            if action is read:
+                reads.append((txn_id, step.granule, step.version_ts))
+            elif action is write:
+                granule, ts = step.granule, step.version_ts
+                writer_of[(granule, ts)] = txn_id
+                if txn_id in committed:
+                    versions[granule].add(ts)
+        self.committed = committed
+        self.writer_of = writer_of
+        self.versions = {g: sorted(v) for g, v in versions.items()}
+        self.reads = reads
+
+
 @dataclass
 class Schedule:
     """An append-only record of an execution.
 
-    The class offers the handful of queries the oracle and the tests
-    need: iteration, filtering by action, the committed transaction
-    set, and the version order of each granule.
+    The class offers the handful of queries the tests need: iteration,
+    the committed and aborted transaction sets, and the version order
+    of a granule.  The oracle reads a :class:`ScheduleIndex` instead.
     """
 
     steps: list[Step] = field(default_factory=list)
@@ -99,49 +138,17 @@ class Schedule:
     def aborted_txn_ids(self) -> set[int]:
         return {s.txn_id for s in self.steps if s.action is Action.ABORT}
 
-    def data_steps(self, committed_only: bool = True) -> list[Step]:
-        """Read/write steps, optionally restricted to committed txns.
-
-        Write steps of aborted transactions never contribute versions to
-        the final database, and the paper's dependency graph is defined
-        over the transactions that actually ran to completion, so the
-        oracle uses ``committed_only=True``.
-        """
-        wanted = self.committed_txn_ids() if committed_only else None
-        result = []
-        for step in self.steps:
-            if step.action not in (Action.READ, Action.WRITE):
-                continue
-            if wanted is not None and step.txn_id not in wanted:
-                continue
-            result.append(step)
-        return result
-
     def version_order(self, granule: GranuleId) -> list[Timestamp]:
         """Committed versions of ``granule`` ordered by write timestamp.
 
         This is the version order ``<<`` used to resolve the paper's
         *predecessor* relation.  Write timestamps are unique per granule
         (each writer installs at its own initiation timestamp), so the
-        sort is total.
+        sort is total.  Callers that want every granule's order should
+        build one :class:`ScheduleIndex` instead of calling this in a
+        loop (each call is a pass over the schedule).
         """
-        committed = self.committed_txn_ids()
-        versions = {
-            step.version_ts
-            for step in self.steps
-            if step.action is Action.WRITE
-            and step.granule == granule
-            and step.txn_id in committed
-            and step.version_ts is not None
-        }
-        return sorted(versions)
-
-    def granules(self) -> set[GranuleId]:
-        return {
-            s.granule
-            for s in self.steps
-            if s.granule is not None
-        }
+        return ScheduleIndex(self.steps).versions.get(granule, [])
 
     def __str__(self) -> str:
         return " ".join(str(s) for s in self.steps)

@@ -1,5 +1,6 @@
 """Oracle-layer unit behaviour (the corpus tests cover end-to-end)."""
 
+from repro.baselines.timestamp_ordering import TimestampOrdering
 from repro.explore.cases import ExploreCase, RunReport
 from repro.explore.oracles import (
     Violation,
@@ -29,6 +30,27 @@ def test_engine_error_oracle_reports_run_errors():
 
 def test_serializability_oracle_needs_a_schedule():
     assert check_serializability(RunReport(case=ExploreCase())) is None
+
+
+def test_serializability_oracle_names_the_cycle_and_its_closing_commit():
+    scheduler = TimestampOrdering(register_reads=False)  # Figure 4
+    t1, t2, t3 = scheduler.begin(), scheduler.begin(), scheduler.begin()
+    scheduler.read(t3, "e")
+    scheduler.write(t1, "e", 1)
+    scheduler.commit(t1)
+    scheduler.read(t2, "e")
+    scheduler.write(t2, "i", 2)
+    scheduler.commit(t2)
+    scheduler.read(t3, "i")
+    scheduler.commit(t3)
+    violation = check_serializability(
+        RunReport(case=ExploreCase(), scheduler=scheduler)
+    )
+    assert violation is not None and violation.kind == "serializability"
+    last = len(scheduler.schedule) - 1
+    assert f"the commit at step {last} closed" in violation.detail
+    for arc in ("t1 -> t3", "t2 -> t1", "t3 -> t2"):
+        assert arc in violation.detail
 
 
 def test_dist_monolith_oracle_compares_against_the_real_monolith():

@@ -4,9 +4,10 @@ import pytest
 
 from repro.baselines.two_phase_locking import TwoPhaseLocking
 from repro.core.scheduler import HDDScheduler
-from repro.errors import ReproError
+from repro.errors import NotSerializableError, ReproError
 from repro.sim.engine import Simulator
 from repro.sim.inventory import build_inventory_partition, build_inventory_workload
+from repro.txn.schedule import Action
 
 
 @pytest.fixture
@@ -140,8 +141,17 @@ class TestAudit:
             )
             try:
                 sim.run()
-            except ReproError as error:
+            except NotSerializableError as error:
                 assert "not serializable" in str(error)
+                # The error carries the cycle and the commit closing it.
+                assert len(error.cycle) >= 2
+                for dep, following in zip(
+                    error.cycle, error.cycle[1:] + error.cycle[:1]
+                ):
+                    assert dep.earlier == following.later
+                    assert str(dep) in str(error)
+                closing = s.schedule.steps[error.closing_step]
+                assert closing.action is Action.COMMIT
                 caught = True
                 break
         assert caught, "unsafe 2PL never produced an anomaly in 25 seeds"

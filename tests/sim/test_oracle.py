@@ -19,7 +19,8 @@ from repro.sim.oracle import (
     replay_serially,
     verify_serial_equivalence,
 )
-from repro.sim.workload import TransactionTemplate, Workload
+from repro.sim.workload import Op, TransactionTemplate, TxnSpec, Workload
+from repro.txn.depgraph import is_serializable, serialization_order
 
 
 def rmw_workload(partition, granules=4) -> Workload:
@@ -202,6 +203,40 @@ class TestSerialReplay:
             if not report.ok:
                 caught += 1
         assert caught == 10
+
+    def test_never_read_blind_write_is_ordered_by_the_mvsg(self):
+        """t10 and then t9 blind-write x, t11 reads t10's 100 and adds
+        7.  The paper's TG leaves x^9 (never read) unordered against
+        x^10, and with two-digit ids its topological order put t9
+        between t10 and t11: a replay of 12 against an actual 107 on a
+        serializable schedule.  The MVSG orders x^9 before x^10."""
+        scheduler = MultiversionTimestampOrdering()
+        for _ in range(8):  # burn ids 1-8 so that "10" sorts before "9"
+            scheduler.commit(scheduler.begin())
+        t9, t10, t11 = (scheduler.begin() for _ in range(3))
+        scheduler.write(t10, "x", 100)
+        scheduler.commit(t10)
+        scheduler.write(t9, "x", 5)
+        scheduler.commit(t9)
+        seen = scheduler.read(t11, "x")
+        assert seen.value == 100
+        scheduler.write(t11, "x", seen.value + 7)
+        scheduler.commit(t11)
+        assert is_serializable(scheduler.schedule, mode="mvsg")
+
+        def spec(kind, value):
+            return TxnSpec("hand", None, False, (Op(kind, "x", value),))
+
+        specs = {
+            t9.txn_id: spec("w", 5),
+            t10.txn_id: spec("w", 100),
+            t11.txn_id: spec("m", 7),
+        }
+        order = serialization_order(scheduler.schedule)
+        assert order.index(9) < order.index(10) < order.index(11)
+        report = replay_serially(scheduler, specs)
+        assert report.ok, str(report)
+        assert report.granules_checked == 1
 
     def test_verify_wrapper_raises_on_mismatch(self):
         partition = build_inventory_partition()

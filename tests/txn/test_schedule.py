@@ -1,6 +1,6 @@
 """Tests for schedule recording and its queries."""
 
-from repro.txn.schedule import Action, Schedule, Step
+from repro.txn.schedule import Action, Schedule, ScheduleIndex, Step
 
 
 def sample_schedule() -> Schedule:
@@ -43,16 +43,6 @@ class TestQueries:
         assert s.committed_txn_ids() == {1, 2}
         assert s.aborted_txn_ids() == {3}
 
-    def test_data_steps_filters_aborted(self):
-        s = sample_schedule()
-        steps = s.data_steps(committed_only=True)
-        assert all(step.txn_id in (1, 2) for step in steps)
-        assert len(steps) == 3
-
-    def test_data_steps_unfiltered(self):
-        s = sample_schedule()
-        assert len(s.data_steps(committed_only=False)) == 4
-
     def test_version_order_excludes_aborted_writes(self):
         s = sample_schedule()
         assert s.version_order("d") == [1, 2]
@@ -65,6 +55,18 @@ class TestQueries:
         s.record_commit(2)
         assert s.version_order("d") == [3, 5]
 
-    def test_granules(self):
-        s = sample_schedule()
-        assert s.granules() == {"d"}
+    def test_index_keeps_committed_reads_writers_and_version_orders(self):
+        index = ScheduleIndex(sample_schedule().steps)
+        assert index.committed == {1, 2}
+        assert index.reads == [(2, "d", 1)]
+        assert index.writer_of == {("d", 1): 1, ("d", 2): 2}
+        assert index.versions == {"d": [1, 2]}
+
+    def test_index_of_a_prefix_sees_only_its_commit_markers(self):
+        steps = sample_schedule().steps
+        first_commit = next(
+            i for i, step in enumerate(steps) if step.action is Action.COMMIT
+        )
+        index = ScheduleIndex(steps[: first_commit + 1])
+        assert len(index.committed) == 1
+        assert all(w in index.committed for w in index.writer_of.values())
