@@ -33,14 +33,6 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 # carry.  These are exactly the numbers README.md's results table and
 # the trajectory table below quote.
 REQUIRED = {
-    "BENCH_read_path.json": {
-        "bench": str,
-        "cached_vs_uncached": (int, float),
-        "uncached.commits_per_s": (int, float),
-        "cached.commits_per_s": (int, float),
-        "uncached.schedule_md5": str,
-        "cached.schedule_md5": str,
-    },
     "BENCH_wall_lifecycle.json": {
         "bench": str,
         "before_unbounded.commits_per_s": (int, float),
@@ -189,15 +181,6 @@ def cross_field_problems(name, data):
 
 def headline(name, data):
     """One quotable line per bench for the trajectory table."""
-    if name == "BENCH_read_path.json":
-        same = (data["uncached"]["schedule_md5"]
-                == data["cached"]["schedule_md5"])
-        return (
-            f"snapshot cache {data['cached_vs_uncached']:.2f}x "
-            f"({data['cached']['commits_per_s']:.0f} vs "
-            f"{data['uncached']['commits_per_s']:.0f} commits/s), "
-            f"schedule {'identical' if same else 'DIVERGED'}"
-        )
     if name == "BENCH_wall_lifecycle.json":
         return (
             f"bounded GC {data['after_bounded']['commits_per_s']:.0f} "

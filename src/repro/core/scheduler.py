@@ -45,15 +45,6 @@ class HDDScheduler(BaseScheduler):
     wall_interval:
         Release cadence of the Protocol C time-wall manager, in clock
         ticks.
-    snapshot_cache:
-        Advance per-chain frozen-prefix marks (the newest released
-        wall's components) so wall reads below them take the frozen path:
-        hot walls (queried more than once store-wide, per the
-        :class:`~repro.storage.chain.WallPopularity` admission gate)
-        are served from the permanent snapshot cache, cold walls cost
-        one bisection.  On by default; turning it off pins every
-        chain's ``frozen_below`` at 0, which the equivalence property
-        tests use as the reference engine.
     """
 
     name = "hdd"
@@ -66,7 +57,6 @@ class HDDScheduler(BaseScheduler):
         store: Optional[MultiVersionStore] = None,
         clock: Optional[LogicalClock] = None,
         fresh_walls: bool = False,
-        snapshot_cache: bool = True,
     ) -> None:
         #: The access rule and its per-transaction state; this
         #: scheduler is its in-process host.  Built first: the base
@@ -95,7 +85,6 @@ class HDDScheduler(BaseScheduler):
         self.engine_write = self.protocol_b.write
         self.component_read = self._read_below_wall
         self._make_transaction = self.protocol.classify
-        self.snapshot_cache = snapshot_cache
         #: Per-segment frozen-prefix marks: the components of the newest
         #: released time wall, lazily pushed into chains at read time.
         #: A released component is permanently settled — the invariant
@@ -105,8 +94,8 @@ class HDDScheduler(BaseScheduler):
         #: the delta rather than trusting this).  Crucially the marks
         #: cost nothing to maintain: the release already computed the
         #: components, so refreshing is a three-entry dict merge, where
-        #: recomputing ``I_old`` per segment walked the activity log and
-        #: was itself the biggest cached-path overhead.
+        #: recomputing ``I_old`` per segment walked the activity log at
+        #: every release.
         self._frozen_marks: dict[SegmentId, Timestamp] = {}
         #: Static watermark evaluation plan: ``(i, j, hop)`` triples in
         #: dependency order (see :meth:`safe_watermarks`); built once
@@ -178,7 +167,7 @@ class HDDScheduler(BaseScheduler):
     ) -> Outcome:
         """Common Protocol A / fictitious-class / Protocol C visibility."""
         chain = self.store.chain(granule)
-        if self.snapshot_cache and wall > chain.frozen_below:
+        if wall > chain.frozen_below:
             mark = self._frozen_marks.get(segment)
             if mark is not None and mark > chain.frozen_below:
                 chain.advance_frozen(mark)
@@ -263,13 +252,11 @@ class HDDScheduler(BaseScheduler):
         wall a Protocol C reader can hold has components at or below the
         newest one's (components are monotone in the wall base time), so
         once a chain's ``frozen_below`` catches up those reads all take
-        the frozen path — and the few distinct component values are
-        exactly the walls readers share, which is what makes cached
-        entries reusable.  Per-transaction Protocol A walls can run
-        ahead of the mark; those reads simply scan, as they would
-        uncached.
+        the frozen path's one bisection.  Per-transaction Protocol A
+        walls can run ahead of the mark; those reads take the
+        committed-flag scan.
         """
-        if not self.snapshot_cache or not self.walls.released:
+        if not self.walls.released:
             return
         marks = self._frozen_marks
         for j, component in self.walls.released[-1].components.items():
@@ -438,7 +425,6 @@ class HDDScheduler(BaseScheduler):
         report.walls_retired = retired
         report.duration_s = time.perf_counter() - started
         if self._sink is not None:
-            cache = self.store.snapshot_cache_report()
             self._sink.emit(
                 GCPassEvent(
                     step=self.current_step,
@@ -446,10 +432,6 @@ class HDDScheduler(BaseScheduler):
                     pruned_versions=report.pruned_versions,
                     walls_retired=retired,
                     duration_ms=round(report.duration_s * 1000.0, 3),
-                    cache_hits=cache["hits"],
-                    cache_misses=cache["misses"],
-                    cache_cold=cache["cold"],
-                    cache_entries=cache["entries"],
                 )
             )
         return report

@@ -121,16 +121,6 @@ class SegmentNode:
         :meth:`flush_gossip_to` barriers before digest-consuming RPCs.
         The WALL broadcast is also suppressed (no node ever reads it;
         walls reach the coordinator in POLL responses).
-    snapshot_cache:
-        Advance each served chain's frozen-prefix mark to ``I_old`` of
-        this node's *own* class (first-hand activity log — exact, not
-        gossip-conservative: every writer of this segment registers
-        here before any install, and updates stay in the writer's root
-        segment) so wall reads below it go through the admission-gated
-        snapshot cache exactly like the monolith's (DESIGN.md §12).
-        Answers are unchanged — the frozen prefix is all-committed —
-        which is what keeps cached dist runs byte-identical to the
-        cache-disabled monolith.
     """
 
     def __init__(
@@ -148,7 +138,6 @@ class SegmentNode:
         wall_interval: int = 25,
         heartbeat: int = 5,
         batch_gossip: bool = False,
-        snapshot_cache: bool = True,
         wal: Optional[WriteAheadLog] = None,
         incarnation: int = 0,
     ) -> None:
@@ -164,7 +153,6 @@ class SegmentNode:
         self.wall_interval = wall_interval
         self.heartbeat = heartbeat
         self.batch_gossip = batch_gossip
-        self.snapshot_cache = snapshot_cache
         self.incarnation = incarnation
         self.known_now = 0
         self.sink: Optional[EventSink] = None
@@ -407,13 +395,15 @@ class SegmentNode:
 
     def _version_below_wall(self, granule: GranuleId, wall: int) -> Version:
         chain = self.store.chain(granule)
-        if (
-            self.snapshot_cache
-            and self.index is not None
-            and wall > chain.frozen_below
-        ):
-            # Only walk the activity log for ``I_old`` when the current
-            # mark cannot serve this wall.  Crash-safe: a restart
+        if self.index is not None and wall > chain.frozen_below:
+            # Advance the chain's frozen-prefix mark to ``I_old`` of
+            # this node's *own* class (first-hand activity log — exact,
+            # not gossip-conservative: every writer of this segment
+            # registers here before any install, and updates stay in the
+            # writer's root segment), so reads below it take the
+            # one-bisection frozen path like the monolith's (DESIGN.md
+            # §12).  Only walk the activity log when the current mark
+            # cannot serve this wall.  Crash-safe: a restart
             # rebuilds the activity log from the WAL with in-flight
             # intervals still open, so ``I_old`` (hence the mark) never
             # overtakes a pending writer's initiation timestamp.

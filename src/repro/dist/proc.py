@@ -120,7 +120,6 @@ class NodeConfig:
     wall_interval: int = 25
     heartbeat: int = 5
     batch_gossip: bool = False
-    snapshot_cache: bool = True
     incarnation: int = 0
     wal_path: Optional[str] = None
     dhg: Optional[tuple[tuple, tuple]] = None
@@ -135,7 +134,6 @@ class NodeConfig:
             "wall_interval": self.wall_interval,
             "heartbeat": self.heartbeat,
             "batch_gossip": self.batch_gossip,
-            "snapshot_cache": self.snapshot_cache,
             "incarnation": self.incarnation,
             "wal_path": self.wal_path,
         }
@@ -165,7 +163,6 @@ class NodeConfig:
             wall_interval=int(record.get("wall_interval", 25)),
             heartbeat=int(record.get("heartbeat", 5)),
             batch_gossip=bool(record.get("batch_gossip")),
-            snapshot_cache=bool(record.get("snapshot_cache", True)),
             incarnation=int(record.get("incarnation", 0)),
             wal_path=record.get("wal_path"),
             dhg=dhg,
@@ -339,7 +336,6 @@ def _build_node(config: NodeConfig, net: WorkerNet) -> SegmentNode:
         wall_interval=config.wall_interval,
         heartbeat=config.heartbeat,
         batch_gossip=config.batch_gossip,
-        snapshot_cache=config.snapshot_cache,
         wal=wal,
         incarnation=config.incarnation,
     )
@@ -394,10 +390,6 @@ def _handle_call(frame: Mapping, nodes: dict[str, SegmentNode]):
             return list(store.granules())
         if op == "total_versions":
             return store.total_versions()
-        if op == "snapshot_cache_stats":
-            return list(store.snapshot_cache_stats())
-        if op == "snapshot_cache_report":
-            return dict(store.snapshot_cache_report())
     raise ReproError(f"unknown control method {method!r}")
 
 
@@ -1135,13 +1127,6 @@ class ProcStoreProxy:
     def total_versions(self) -> int:
         return int(self._call("total_versions"))
 
-    def snapshot_cache_stats(self) -> tuple[int, int]:
-        hits, misses = self._call("snapshot_cache_stats")
-        return int(hits), int(misses)
-
-    def snapshot_cache_report(self) -> dict[str, int]:
-        return dict(self._call("snapshot_cache_report"))
-
     def chain(self, granule: GranuleId):
         raise ReproError(
             "version chains are not addressable over the process "
@@ -1211,7 +1196,6 @@ def build_node_configs(
     wall_interval: int,
     heartbeat: int,
     batch_gossip: bool,
-    snapshot_cache: bool,
 ) -> list[NodeConfig]:
     """Pure-data configs for one runtime's node set (spawn-safe)."""
     configs: list[NodeConfig] = []
@@ -1245,7 +1229,6 @@ def build_node_configs(
                     wall_interval=wall_interval,
                     heartbeat=heartbeat,
                     batch_gossip=batch_gossip,
-                    snapshot_cache=snapshot_cache,
                     dhg=dhg,
                 )
             )

@@ -200,23 +200,11 @@ class FederatedStore:
             node.store.total_versions() for node in self._nodes.values()
         )
 
-    def snapshot_cache_stats(self) -> tuple[int, int]:
-        """Aggregate frozen-prefix cache ``(hits, misses)`` over nodes."""
-        hits = 0
-        misses = 0
-        for node in self._nodes.values():
-            node_hits, node_misses = node.store.snapshot_cache_stats()
-            hits += node_hits
-            misses += node_misses
-        return hits, misses
-
     def snapshot_cache_report(self) -> dict[str, int]:
-        """Admission-policy accounting summed over every node's store."""
-        totals: dict[str, int] = {}
-        for node in self._nodes.values():
-            for key, value in node.store.snapshot_cache_report().items():
-                totals[key] = totals.get(key, 0) + value
-        return totals
+        """All-zero counters of the deleted snapshot cache — see
+        :meth:`~repro.storage.store.MultiVersionStore.snapshot_cache_report`
+        for why it survives."""
+        return {"hits": 0, "misses": 0, "cold": 0, "entries": 0}
 
     def __iter__(self) -> Iterator:
         for segment in sorted(self._nodes):
@@ -240,7 +228,6 @@ class DistributedRuntime(BaseScheduler):
         wall_interval: int = 25,
         heartbeat: int = 5,
         clock: Optional[LogicalClock] = None,
-        snapshot_cache: bool = True,
         transport: str = "sim",
         procs: Optional[int] = None,
         wal_dir: Optional[str] = None,
@@ -264,7 +251,6 @@ class DistributedRuntime(BaseScheduler):
         #: The coalesced, governed wire (module docstring) — chosen from
         #: the plan, internal wiring the nodes are told about.
         self.batch_gossip = self.is_hdd and self.plan.is_ideal
-        self.snapshot_cache = snapshot_cache
         self.transport = transport
         # -- network and nodes -----------------------------------------
         classes = sorted(partition.segments)
@@ -289,7 +275,6 @@ class DistributedRuntime(BaseScheduler):
                 wall_interval,
                 heartbeat,
                 self.batch_gossip,
-                snapshot_cache,
             )
             self.network = ProcNetwork(
                 self.plan,
@@ -344,7 +329,6 @@ class DistributedRuntime(BaseScheduler):
                         wall_interval=wall_interval,
                         heartbeat=heartbeat,
                         batch_gossip=self.batch_gossip,
-                        snapshot_cache=snapshot_cache,
                     )
             else:
                 self.nodes = {

@@ -426,16 +426,9 @@ class GCPassEvent(Event):
 
     pruned_versions: int = 0
     walls_retired: int = 0
-    #: Wall-clock cost of the pass, and the frozen-prefix cache totals
-    #: at its end (cumulative over the run) — zero/absent in records
-    #: from engines that do not time their passes.
+    #: Wall-clock cost of the pass — zero/absent in records from
+    #: engines that do not time their passes.
     duration_ms: float = 0.0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    #: Admission-policy breakdown (DESIGN.md §12): cold-wall lookups
-    #: that bypassed the cache, and live cache entries at pass end.
-    cache_cold: int = 0
-    cache_entries: int = 0
 
 
 @dataclass(frozen=True, slots=True, kw_only=True)

@@ -21,8 +21,9 @@ simulator's ``blocked_client_steps`` accounting.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
-from typing import Mapping, Optional, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from repro.obs.events import (
     AbortedEvent,
@@ -45,6 +46,26 @@ from repro.obs.events import (
     WallUnpinnedEvent,
     WriteEvent,
 )
+
+
+def percentile(samples: Sequence[float], q: float) -> float:
+    """The ``q``-quantile (0..1) by linear interpolation; 0.0 if empty.
+
+    Accepts any real-valued samples — latencies are ints, but staleness
+    and wall-lag histograms feed floats.
+    """
+    if not samples:
+        return 0.0
+    ordered = sorted(samples)
+    if len(ordered) == 1:
+        return float(ordered[0])
+    position = q * (len(ordered) - 1)
+    lower = math.floor(position)
+    upper = math.ceil(position)
+    if lower == upper:
+        return float(ordered[lower])
+    fraction = position - lower
+    return ordered[lower] * (1 - fraction) + ordered[upper] * fraction
 
 
 def abort_kind(reason: Optional[str]) -> str:
@@ -99,10 +120,6 @@ class Histogram:
         return sum(self.samples) / len(self.samples)
 
     def quantile(self, q: float) -> float:
-        # Imported lazily: repro.sim pulls in the scheduler layer, which
-        # itself imports repro.obs — a cycle at module-import time.
-        from repro.sim.metrics import percentile
-
         return percentile(self.samples, q)
 
     def summary(self) -> dict[str, float]:

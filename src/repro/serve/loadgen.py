@@ -46,9 +46,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.obs.metrics import abort_kind
+from repro.obs.metrics import abort_kind, percentile
 from repro.serve.client import ClientPool, run_transaction
-from repro.sim.metrics import percentile
 from repro.sim.workload import Workload
 
 #: Queue sentinel: the lane's arrival stream is over.

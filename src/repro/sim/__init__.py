@@ -1,5 +1,6 @@
 """Deterministic simulation: engine, workloads, metrics, reference schemas."""
 
+from repro.obs.metrics import percentile
 from repro.sim.engine import Simulator
 from repro.sim.hierarchies import (
     build_hierarchy_workload,
@@ -14,7 +15,7 @@ from repro.sim.inventory import (
     build_inventory_workload,
 )
 from repro.sim.messages import MessageReport, message_report
-from repro.sim.metrics import SimulationResult, format_table, percentile
+from repro.sim.metrics import SimulationResult, format_table
 from repro.sim.oracle import (
     ReplayReport,
     counter_invariant,

@@ -2,31 +2,10 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
+from repro.obs.metrics import percentile
 from repro.scheduling import SchedulerStats
-
-
-def percentile(samples: Sequence[float], q: float) -> float:
-    """The ``q``-quantile (0..1) by linear interpolation; 0.0 if empty.
-
-    Accepts any real-valued samples — latencies are ints, but staleness
-    and wall-lag histograms feed floats.
-    """
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    if len(ordered) == 1:
-        return float(ordered[0])
-    position = q * (len(ordered) - 1)
-    lower = math.floor(position)
-    upper = math.ceil(position)
-    if lower == upper:
-        return float(ordered[lower])
-    fraction = position - lower
-    return ordered[lower] * (1 - fraction) + ordered[upper] * fraction
 
 
 @dataclass

@@ -19,23 +19,9 @@ Frozen prefix (DESIGN.md §12): by Theorem 1 every version below the
 oldest active initiation of the granule's segment class is final —
 never mutated, never joined by a late sibling, always committed.  The
 scheduler advances :attr:`VersionChain.frozen_below` to that mark, and
-``latest_before`` answers queries at walls at or below it from a
-permanent ``wall -> version`` cache.  Entries below the mark can never
-be invalidated (mutations only touch the unfrozen suffix, which the
-mutators assert), so the cache needs no invalidation protocol — only
-GC trims keys that no future reader can query.
-
-Admission (DESIGN.md §12): caching a (chain, wall) entry only pays if
-the pair is queried again, and most walls never are — Protocol A walls
-are keyed to initiation timestamps, so they mostly die after one
-transaction.  A shared :class:`WallPopularity` tracker (one per
-:class:`~repro.storage.store.MultiVersionStore`) counts wall reuse
-*across the store*: the first query of a wall anywhere answers with a
-plain bisection and only records the wall; once a wall has been
-queried more than once it is *hot* and chains cache their entries for
-it.  Protocol C readers sharing a released ``WallSnapshot`` make the
-hot walls light up after one shared read, while one-shot walls never
-pay an insert.
+``latest_before`` answers queries at walls at or below it with one
+bisection (no committed-flag walk).  The mutators refuse to touch the
+frozen prefix, so the shortcut can never return a stale answer.
 """
 
 from __future__ import annotations
@@ -48,62 +34,10 @@ from repro.storage.version import Version
 from repro.txn.clock import Timestamp
 from repro.txn.transaction import GranuleId
 
-#: Cache sentinel distinguishing "not cached" from a cached ``None``.
-_UNCACHED = object()
-
-
-class WallPopularity:
-    """Store-level wall-reuse tracker gating snapshot-cache admission.
-
-    ``admit`` records one frozen-path query of ``wall`` and answers
-    whether chains may cache entries for it.  A wall becomes *hot* on
-    its second query anywhere in the store; admission is purely an
-    optimisation gate — forgetting a wall (GC trim) merely re-runs the
-    cold path, never changes an answer.
-    """
-
-    __slots__ = ("_seen_once", "_hot")
-
-    def __init__(self) -> None:
-        #: Walls queried exactly once so far.
-        self._seen_once: set[Timestamp] = set()
-        #: Walls queried more than once: chains cache entries for these.
-        self._hot: set[Timestamp] = set()
-
-    def admit(self, wall: Timestamp) -> bool:
-        """Record a query of ``wall``; True once the wall is hot."""
-        if wall in self._hot:
-            return True
-        if wall in self._seen_once:
-            self._seen_once.discard(wall)
-            self._hot.add(wall)
-            return True
-        self._seen_once.add(wall)
-        return False
-
-    def trim_below(self, watermark: Timestamp) -> None:
-        """Forget walls below ``watermark`` (GC: unreachable forever)."""
-        self._seen_once = {w for w in self._seen_once if w >= watermark}
-        self._hot = {w for w in self._hot if w >= watermark}
-
-    @property
-    def hot_walls(self) -> int:
-        return len(self._hot)
-
-    @property
-    def tracked_walls(self) -> int:
-        return len(self._seen_once) + len(self._hot)
-
-
 class VersionChain:
     """Sorted container of the versions of one granule."""
 
-    def __init__(
-        self,
-        granule: GranuleId,
-        initial_value: object = 0,
-        admission: Optional[WallPopularity] = None,
-    ) -> None:
+    def __init__(self, granule: GranuleId, initial_value: object = 0) -> None:
         self.granule = granule
         boot = Version.bootstrap(granule, initial_value)
         self._versions: list[Version] = [boot]
@@ -119,22 +53,6 @@ class VersionChain:
         #: install/remove/commit.  Advanced (monotonically) by the
         #: scheduler from the activity logs; 0 means "nothing frozen".
         self.frozen_below: Timestamp = 0
-        #: ``wall -> latest committed version strictly below wall`` for
-        #: *hot* walls at or below :attr:`frozen_below`.  Permanently
-        #: valid once inserted.
-        self._snap_cache: dict[Timestamp, Optional[Version]] = {}
-        #: Wall-reuse admission gate, shared store-wide (a private one
-        #: is created for standalone chains, degrading gracefully to
-        #: per-chain popularity).
-        self._admission = (
-            admission if admission is not None else WallPopularity()
-        )
-        self.cache_hits = 0
-        self.cache_misses = 0
-        #: Frozen-path queries answered by a plain bisection because the
-        #: wall was not hot yet — the cost a cold wall pays instead of a
-        #: scan plus a dict insert.
-        self.cache_cold = 0
         #: Mutation epoch for the lazily rebuilt committed-count prefix.
         self._mutations = 0
         self._prefix_epoch = -1
@@ -225,11 +143,7 @@ class VersionChain:
         ``latest_before(keep_from_ts)`` — strict, matching the read
         rule exactly (a watermark equal to a version's timestamp must
         keep the version *below* it).  Everything committed and older
-        than that base is pruned and returned.  The lookup deliberately
-        bypasses the snapshot cache and its admission accounting: a GC
-        watermark is queried once per chain per pass, precisely the
-        access pattern the admission policy exists to keep *out* of the
-        cache.
+        than that base is pruned and returned.
         """
         base = self._scan_before(keep_from_ts, committed_only=True)
         if base is None:
@@ -251,16 +165,6 @@ class VersionChain:
             self._commit_ts_index = [
                 self._commit_key(v) for v in self._commit_order
             ]
-            if self._snap_cache:
-                # Keys below the watermark can never be queried again
-                # (GC safety: no present or future read undercuts it);
-                # keys at or above it resolve to versions at or above
-                # ``base``, which all survived.
-                self._snap_cache = {
-                    wall: version
-                    for wall, version in self._snap_cache.items()
-                    if wall >= keep_from_ts
-                }
             self._mutations += 1
         return pruned
 
@@ -275,9 +179,9 @@ class VersionChain:
         half of the contract is checked on the newly frozen delta —
         each version is inspected exactly once across all advances, so
         the check stays amortised-linear — which is what lets the
-        cached read path serve ``committed_only=False`` queries from
-        committed-only answers (no uncommitted version can sit below
-        the mark).
+        frozen read path answer ``committed_only=False`` queries with
+        the committed-only bisection (no uncommitted version can sit
+        below the mark).
         """
         if mark <= self.frozen_below:
             return
@@ -315,36 +219,12 @@ class VersionChain:
 
         Walls at or below :attr:`frozen_below` take the frozen path:
         below the mark every version is committed and final, so the
-        answer never changes — the ``committed_only`` flag cannot
-        matter, an invariant :meth:`advance_frozen` debug-checks
-        instead of trusting.  Hot walls (queried more than once across
-        the store, per :class:`WallPopularity`) are served from — and
-        admitted into — the permanent snapshot cache; cold walls cost
-        exactly one bisection, with no insert.
+        ``committed_only`` flag cannot matter — an invariant
+        :meth:`advance_frozen` debug-checks instead of trusting — and
+        the answer is one bisection (:meth:`_frozen_before`).
         """
         if wall <= self.frozen_below:
-            cached = self._snap_cache.get(wall, _UNCACHED)
-            if cached is not _UNCACHED:
-                self.cache_hits += 1
-                return cached  # type: ignore[return-value]
-            # Inlined _frozen_before + WallPopularity.admit: this branch
-            # runs per frozen read, and the call overhead alone was
-            # measurable against the one-bisection scan it replaces.
-            position = bisect.bisect_left(self._ts_index, wall) - 1
-            version = self._versions[position] if position >= 0 else None
-            admission = self._admission
-            if wall in admission._hot:
-                self.cache_misses += 1
-                self._snap_cache[wall] = version
-            elif wall in admission._seen_once:
-                admission._seen_once.discard(wall)
-                admission._hot.add(wall)
-                self.cache_misses += 1
-                self._snap_cache[wall] = version
-            else:
-                admission._seen_once.add(wall)
-                self.cache_cold += 1
-            return version
+            return self._frozen_before(wall)
         return self._scan_before(wall, committed_only)
 
     def _frozen_before(self, wall: Timestamp) -> Optional[Version]:
@@ -352,8 +232,6 @@ class VersionChain:
 
         Every version below ``wall <= frozen_below`` is committed, so
         the newest ``ts < wall`` needs no committed-flag walk.
-        (:meth:`latest_before` inlines this on its frozen branch; kept
-        as the readable statement of that branch's lookup.)
         """
         position = bisect.bisect_left(self._ts_index, wall) - 1
         if position < 0:

@@ -87,11 +87,4 @@ class WatermarkGC:
                 continue
             pruned = chain.prune_below(watermark)
             report.merge(chain.granule, len(pruned))
-        if watermarks:
-            # Wall-popularity entries below every watermark can never be
-            # queried again; trimming them is hygiene only (admission is
-            # an optimisation gate, not a correctness structure), so the
-            # global min over the per-segment watermarks is safe even
-            # when some segments were not collected this pass.
-            self._store.trim_wall_popularity(min(watermarks.values()))
         return report

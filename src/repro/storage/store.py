@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterator, Optional
 
-from repro.storage.chain import VersionChain, WallPopularity
+from repro.storage.chain import VersionChain
 from repro.storage.version import Version
 from repro.txn.clock import Timestamp
 from repro.txn.transaction import GranuleId
@@ -32,11 +32,6 @@ class MultiVersionStore:
     ) -> None:
         self._chains: dict[GranuleId, VersionChain] = {}
         self._initial_value = initial_value
-        #: Wall-reuse admission gate for the frozen-prefix snapshot
-        #: caches, shared by every chain: a wall queried more than once
-        #: *anywhere* in the store is hot, and only hot walls earn
-        #: cache entries (DESIGN.md §12).
-        self.wall_popularity = WallPopularity()
 
     def chain(self, granule: GranuleId) -> VersionChain:
         existing = self._chains.get(granule)
@@ -46,9 +41,7 @@ class MultiVersionStore:
             value = self._initial_value(granule)
         else:
             value = self._initial_value
-        created = VersionChain(
-            granule, initial_value=value, admission=self.wall_popularity
-        )
+        created = VersionChain(granule, initial_value=value)
         self._chains[granule] = created
         return created
 
@@ -56,9 +49,7 @@ class MultiVersionStore:
         """Explicitly create ``granule`` with a given initial value."""
         if granule in self._chains:
             raise KeyError(f"granule {granule!r} already exists")
-        chain = VersionChain(
-            granule, initial_value=value, admission=self.wall_popularity
-        )
+        chain = VersionChain(granule, initial_value=value)
         self._chains[granule] = chain
         return chain
 
@@ -80,52 +71,14 @@ class MultiVersionStore:
     def total_versions(self) -> int:
         return sum(len(chain) for chain in self._chains.values())
 
-    def snapshot_cache_stats(self) -> tuple[int, int]:
-        """Aggregate frozen-prefix cache ``(hits, misses)`` over all chains."""
-        hits = 0
-        misses = 0
-        for chain in self._chains.values():
-            hits += chain.cache_hits
-            misses += chain.cache_misses
-        return hits, misses
-
     def snapshot_cache_report(self) -> dict[str, int]:
-        """Full admission-policy accounting across the store.
+        """All-zero counters of the deleted frozen-prefix snapshot cache.
 
-        ``hits``
-            frozen-path queries served from a snapshot cache;
-        ``misses``
-            admitted queries that scanned once and inserted an entry;
-        ``cold``
-            cold-wall queries answered by a single bisection, no insert
-            (the cost the admission policy saves vs always-insert);
-        ``entries``
-            live cache entries over all chains;
-        ``hot_walls`` / ``tracked_walls``
-            distinct walls promoted to hot / still being counted.
+        Kept only because ``bench/workloads.py::_scheduler_counters``
+        still reads it into the ledger's ``storage.cache.*`` lines; the
+        benchmark-only re-baseline deletes it together with them.
         """
-        hits = misses = cold = entries = 0
-        for chain in self._chains.values():
-            hits += chain.cache_hits
-            misses += chain.cache_misses
-            cold += chain.cache_cold
-            entries += len(chain._snap_cache)
-        return {
-            "hits": hits,
-            "misses": misses,
-            "cold": cold,
-            "entries": entries,
-            "hot_walls": self.wall_popularity.hot_walls,
-            "tracked_walls": self.wall_popularity.tracked_walls,
-        }
-
-    def trim_wall_popularity(self, watermark: Timestamp) -> None:
-        """GC hook: forget admission state for walls below ``watermark``.
-
-        Purely hygiene — a forgotten wall re-runs the cold path if it
-        is somehow queried again; no cached answer ever changes.
-        """
-        self.wall_popularity.trim_below(watermark)
+        return {"hits": 0, "misses": 0, "cold": 0, "entries": 0}
 
     def committed_value(
         self, granule: GranuleId, before: Optional[Timestamp] = None

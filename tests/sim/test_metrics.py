@@ -1,7 +1,8 @@
 """Tests for simulation metrics."""
 
+from repro.obs.metrics import percentile
 from repro.scheduling import SchedulerStats
-from repro.sim.metrics import SimulationResult, format_table, percentile
+from repro.sim.metrics import SimulationResult, format_table
 
 
 class TestPercentile:

@@ -135,9 +135,6 @@ class TestFrozenPrefix:
         chain.advance_frozen(6)  # ts 3 and 5 frozen; 8 still open
         return chain
 
-    def counters(self, chain):
-        return (chain.cache_hits, chain.cache_misses, chain.cache_cold)
-
     def test_advance_is_monotone(self):
         chain = self.frozen_chain()
         chain.advance_frozen(4)  # lower mark: ignored
@@ -154,43 +151,22 @@ class TestFrozenPrefix:
             chain.advance_frozen(9)
         assert chain.frozen_below == 6  # the bad advance did not land
 
-    def test_cold_wall_then_admission_then_hit(self):
-        chain = self.frozen_chain()
-        # First query anywhere: cold — answered, counted, not cached.
-        assert chain.latest_before(6).ts == 5
-        assert self.counters(chain) == (0, 0, 1)
-        # Second query: the wall is hot now — scan once, insert.
-        assert chain.latest_before(6).ts == 5
-        assert self.counters(chain) == (0, 1, 1)
-        # Third query: served from the cache.
-        assert chain.latest_before(6).ts == 5
-        assert self.counters(chain) == (1, 1, 1)
-
-    def test_cached_none_is_a_hit(self):
-        chain = VersionChain("s:g")
-        chain.advance_frozen(1)
-        assert chain.latest_before(0) is None  # cold
-        assert chain.latest_before(0) is None  # admitted: caches None
-        assert chain.latest_before(0) is None  # hit on the cached None
-        assert self.counters(chain) == (1, 1, 1)
-
-    def test_walls_above_mark_bypass_cache(self):
+    def test_walls_above_mark_take_the_scan(self):
         chain = self.frozen_chain()
         assert chain.latest_before(7).ts == 5
-        assert self.counters(chain) == (0, 0, 0)
         # Unfrozen suffix stays live: committing ts 8 changes the answer.
         chain.commit_version(8, 200)
         assert chain.latest_before(9).ts == 8
 
     def test_frozen_path_ignores_committed_only_flag(self):
         """Below the mark everything is committed (debug-checked by
-        ``advance_frozen``), so both flag values get the same answer —
-        cold path and cache alike."""
+        ``advance_frozen``), so both flag values get the same answer
+        from the one bisection, however often the wall is asked."""
         chain = self.frozen_chain()
         assert chain.latest_before(6, committed_only=False).ts == 5
         assert chain.latest_before(6, committed_only=True).ts == 5
         assert chain.latest_before(6, committed_only=False).ts == 5
-        assert self.counters(chain) == (1, 1, 1)
+        assert chain.latest_before(6) is chain.version_at(5)
 
     def test_install_below_mark_rejected(self):
         chain = self.frozen_chain()
@@ -208,7 +184,7 @@ class TestFrozenPrefix:
         """``commit_version`` enforces the same frozen guard as
         ``install``/``remove``: a commit landing under the mark would
         silently break the "frozen prefix is final" invariant the
-        permanent cache depends on."""
+        one-bisection read depends on."""
         chain = chain_with(3, 5)
         chain.commit_version(3, 103)
         chain.advance_frozen(4)  # ts 3 frozen; ts 5 still uncommitted
@@ -232,36 +208,27 @@ class TestFrozenPrefix:
         with pytest.raises(StorageError):
             chain.commit_version(5, 777)  # and no re-commit below it
 
-    def test_prune_trims_unreachable_cache_keys(self):
-        chain = chain_with(3, 5, 8)
-        for ts in (3, 5, 8):
-            chain.commit_version(ts, ts + 100)
-        chain.advance_frozen(9)
-        for wall in (4, 6, 9):
-            chain.latest_before(wall)  # cold pass: records popularity
-            chain.latest_before(wall)  # hot: admitted into the cache
-        assert set(chain._snap_cache) == {4, 6, 9}
-        chain.prune_below(6)  # readers from wall 6 up survive GC
-        assert set(chain._snap_cache) == {6, 9}
-        # The surviving keys still answer correctly (and from the cache).
-        hits = chain.cache_hits
-        assert chain.latest_before(6).ts == 5
-        assert chain.latest_before(9).ts == 8
-        assert chain.cache_hits == hits + 2
+    def test_commit_below_mark_raises_like_install_and_remove(self):
+        chain = self.frozen_chain()
+        mutations = (
+            lambda: chain.install(Version("s:g", 4, value=1, writer_id=4)),
+            lambda: chain.remove(5),
+            lambda: chain.commit_version(5, 999),
+        )
+        for mutate in mutations:
+            with pytest.raises(StorageError, match="frozen"):
+                mutate()
 
-    def test_prune_lookup_skips_admission_accounting(self):
-        """GC watermark lookups are once-per-pass by construction; they
-        must neither warm the popularity tracker nor insert entries."""
-        chain = chain_with(3, 5)
-        for ts in (3, 5):
-            chain.commit_version(ts, ts + 100)
-        chain.advance_frozen(6)
-        chain.prune_below(4)
-        assert self.counters(chain) == (0, 0, 0)
-        assert chain._snap_cache == {}
-        # And the wall GC probed is still cold for real readers.
-        chain.latest_before(4)
-        assert self.counters(chain) == (0, 0, 1)
+    def test_frozen_answers_match_either_committed_only_flag(self):
+        """The frozen branch serves the committed-only answer for both
+        flag values; below the mark that is an invariant, not a hope —
+        advance_frozen debug-checks it."""
+        chain = self.frozen_chain()
+        assert chain.latest_before(0, committed_only=False) is None
+        for wall in (4, 6):
+            relaxed = chain.latest_before(wall, committed_only=False)
+            strict = chain.latest_before(wall, committed_only=True)
+            assert relaxed is strict
 
 
 class TestCommitTsIndex:
